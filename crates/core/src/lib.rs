@@ -53,9 +53,7 @@ pub use incremental::{
     GatherCtx, GatherMode, GatherProgram, InContribution, IncrementalBsp, IncrementalConfig,
     MinLabel, PageRankGather, RefreshReport,
 };
-pub use online::{
-    explore_via, CallHook, ExplorationResult, ExploreOptions, Explorer, ExplorerConfig,
-};
+pub use online::{explore_via, CallHook, ExplorationResult, ExploreOptions, Explorer};
 pub use prefetch::BucketPrefetcher;
 pub use streaming::{
     CommittedBatch, DirtySet, Mutation, MutationBatch, MutationLog, StreamingIngest, Topology,

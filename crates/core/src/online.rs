@@ -141,14 +141,6 @@ fn decode_reply(data: &[u8]) -> Option<(Vec<CellId>, Vec<CellId>)> {
     Some((matches, neighbors))
 }
 
-/// Expansion pool tuning for the slave-side EXPAND handler.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExplorerConfig {
-    /// Worker threads per machine for frontier expansion. `0` means
-    /// trunk-aligned, like [`crate::BspConfig::compute_threads`].
-    pub compute_threads: usize,
-}
-
 /// Frontiers below this size expand serially: spawning a pool costs more
 /// than scanning a few hundred ids.
 const PARALLEL_FRONTIER: usize = 256;
@@ -169,13 +161,10 @@ impl std::fmt::Debug for Explorer {
 }
 
 impl Explorer {
-    /// Install the exploration protocol on every slave of the cloud.
+    /// Install the exploration protocol on every slave of the cloud. Each
+    /// slave expands large frontiers on a trunk-aligned worker pool, the
+    /// width [`crate::BspConfig::compute_threads`] defaults to.
     pub fn install(cloud: Arc<MemoryCloud>) -> Arc<Self> {
-        Self::install_with(cloud, ExplorerConfig::default())
-    }
-
-    /// [`Explorer::install`] with explicit expansion-pool tuning.
-    pub fn install_with(cloud: Arc<MemoryCloud>, cfg: ExplorerConfig) -> Arc<Self> {
         let handles: Vec<GraphHandle> = (0..cloud.machines())
             .map(|m| GraphHandle::new(Arc::clone(cloud.node(m))))
             .collect();
@@ -188,7 +177,7 @@ impl Explorer {
                 .table()
                 .trunks_of(MachineId(m as u16))
                 .len();
-            let workers = crate::bsp::resolve_compute_threads(cfg.compute_threads, trunks);
+            let workers = crate::bsp::resolve_compute_threads(0, trunks);
             explorer
                 .cloud
                 .node(m)

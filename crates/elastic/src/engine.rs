@@ -413,8 +413,7 @@ impl MigrationEngine {
     }
 
     /// Online join: stream a fair share of trunks onto machine `m` while
-    /// the donors keep serving (the elastic replacement for
-    /// `MemoryCloud::cold_join`).
+    /// the donors keep serving — the cloud's one way to add a machine.
     pub fn join_machine(&self, cloud: &MemoryCloud, m: usize) -> Result<Vec<MigrationReport>> {
         let table = read_primary(cloud)?;
         let moves = plan_join(&table, MachineId(m as u16));

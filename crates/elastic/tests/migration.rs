@@ -3,6 +3,8 @@
 //! cluster operations (join, drain, rebalance) leave every cell
 //! readable through every machine.
 
+use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -410,4 +412,153 @@ fn rebalance_follows_the_load_map() {
     );
     assert!(reports.iter().all(|r| r.from == MachineId(0)));
     cloud.shutdown();
+}
+
+#[test]
+fn standby_machine_joins_and_takes_trunk_share() {
+    let cloud = cloud_with_standby(3, 1);
+    for i in 0..200u64 {
+        cloud.node(0).put(i, format!("j{i}").as_bytes()).unwrap();
+    }
+    // Before the join, the standby owns nothing and serves nothing.
+    assert!(cloud.node(0).table().trunks_of(MachineId(3)).is_empty());
+    assert_eq!(cloud.node(3).store().cell_count(), 0);
+    let engine = MigrationEngine::new(MigrationConfig::default());
+    let moved = engine.join_machine(&cloud, 3).unwrap();
+    assert!(!moved.is_empty(), "the joiner must receive trunks");
+    // The joiner holds its fair share and serves its cells.
+    let its_trunks = cloud.node(0).table().trunks_of(MachineId(3));
+    assert_eq!(its_trunks.len(), moved.len());
+    assert!(
+        cloud.node(3).store().cell_count() > 0,
+        "moved trunks must carry their cells"
+    );
+    // Every cell still reads back, from old and new machines alike.
+    for i in 0..200u64 {
+        for m in 0..4 {
+            assert_eq!(
+                cloud.node(m).get(i).unwrap().as_deref(),
+                Some(format!("j{i}").as_bytes()),
+                "cell {i} via machine {m} after join"
+            );
+        }
+    }
+    // New writes route to the joiner for its trunks.
+    let joiner_bound = (1000..2000u64)
+        .find(|&i| cloud.node(0).table().machine_of(i) == MachineId(3))
+        .expect("some id routes to the joiner");
+    cloud.node(0).put(joiner_bound, b"fresh-on-joiner").unwrap();
+    assert_eq!(
+        cloud.node(3).get(joiner_bound).unwrap().unwrap(),
+        b"fresh-on-joiner"
+    );
+    cloud.shutdown();
+}
+
+#[test]
+fn join_then_failure_uses_the_joiner_as_survivor() {
+    let cloud = cloud_with_standby(2, 1);
+    for i in 0..80u64 {
+        cloud.node(0).put(i, b"resilient").unwrap();
+    }
+    let engine = MigrationEngine::new(MigrationConfig::default());
+    engine.join_machine(&cloud, 2).unwrap();
+    cloud.backup_all().unwrap();
+    cloud.kill_machine(0);
+    cloud.recover(0).unwrap();
+    for i in 0..80u64 {
+        assert_eq!(
+            cloud.node(2).get(i).unwrap().as_deref(),
+            Some(&b"resilient"[..]),
+            "cell {i}"
+        );
+    }
+    cloud.shutdown();
+}
+
+/// A cell operation issued through machine `via`, for the model test.
+#[derive(Debug, Clone)]
+enum Op {
+    Put { via: usize, key: u64, val: Vec<u8> },
+    Append { via: usize, key: u64, val: Vec<u8> },
+    Remove { via: usize, key: u64 },
+    Get { via: usize, key: u64 },
+    Backup,
+}
+
+fn op_strategy(machines: usize) -> impl Strategy<Value = Op> {
+    let via = 0..machines;
+    let key = 0u64..64;
+    let bytes = proptest::collection::vec(any::<u8>(), 0..48);
+    prop_oneof![
+        4 => (via.clone(), key.clone(), bytes.clone()).prop_map(|(via, key, val)| Op::Put { via, key, val }),
+        2 => (via.clone(), key.clone(), bytes).prop_map(|(via, key, val)| Op::Append { via, key, val }),
+        2 => (via.clone(), key.clone()).prop_map(|(via, key)| Op::Remove { via, key }),
+        3 => (via, key).prop_map(|(via, key)| Op::Get { via, key }),
+        1 => Just(Op::Backup),
+    ]
+}
+
+/// Apply `op` to the cloud and to the `HashMap` model, checking every
+/// answer the cloud gives against the model.
+fn apply(cloud: &MemoryCloud, model: &mut HashMap<u64, Vec<u8>>, op: &Op) {
+    match op {
+        Op::Put { via, key, val } => {
+            cloud.node(*via).put(*key, val).unwrap();
+            model.insert(*key, val.clone());
+        }
+        Op::Append { via, key, val } => {
+            let existed = cloud.node(*via).append(*key, val).unwrap();
+            match model.get_mut(key) {
+                Some(m) => {
+                    assert!(existed);
+                    m.extend_from_slice(val);
+                }
+                None => assert!(!existed),
+            }
+        }
+        Op::Remove { via, key } => {
+            let existed = cloud.node(*via).remove(*key).unwrap();
+            assert_eq!(existed, model.remove(key).is_some());
+        }
+        Op::Get { via, key } => {
+            assert_eq!(
+                cloud.node(*via).get(*key).unwrap().as_deref(),
+                model.get(key).map(Vec::as_slice)
+            );
+        }
+        Op::Backup => cloud.backup_all().unwrap(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The cloud behaves like a `HashMap` across an online join: every
+    /// cell written before it reads back through the joiner, and ops
+    /// issued through the joiner afterwards keep matching the model.
+    #[test]
+    fn join_mid_sequence_is_transparent(
+        before in proptest::collection::vec(op_strategy(2), 1..60),
+        after in proptest::collection::vec(op_strategy(3), 1..60),
+    ) {
+        let cloud = cloud_with_standby(2, 1);
+        let mut model = HashMap::new();
+        for op in &before {
+            apply(&cloud, &mut model, op);
+        }
+        MigrationEngine::new(MigrationConfig::default()).join_machine(&cloud, 2).unwrap();
+        for (k, v) in &model {
+            let got = cloud.node(2).get(*k).unwrap();
+            prop_assert_eq!(got.as_deref(), Some(v.as_slice()), "cell {} lost in join", k);
+        }
+        for op in &after {
+            apply(&cloud, &mut model, op); // `via` may now be the joiner
+        }
+        for (k, v) in &model {
+            let got = cloud.node(1).get(*k).unwrap();
+            prop_assert_eq!(got.as_deref(), Some(v.as_slice()));
+        }
+        cloud.shutdown();
+    }
 }

@@ -16,8 +16,9 @@
 //! replica lives on the leader and is persisted in TFS before any update
 //! commits (§6.2). A machine that fails to load a data item re-syncs its
 //! replica from TFS and retries — exactly the paper's staleness protocol.
-//! Machines join and leave the cloud by reassigning addressing-table slots
-//! and reloading the affected trunks from their TFS backups.
+//! A failed machine leaves the cloud by having its addressing-table slots
+//! reassigned and the affected trunks reloaded from their TFS backups;
+//! machines join through `trinity-elastic`'s online trunk migration.
 //!
 //! # Example
 //!

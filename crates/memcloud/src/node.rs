@@ -44,11 +44,12 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 
 use trinity_memstore::{
-    CellVersion, LocalStore, LocalStoreConfig, StoreError, Trunk, TrunkSnapshot, TrunkStats,
+    CellVersion, LocalStore, LocalStoreConfig, SnapshotError, StoreError, Trunk, TrunkSnapshot,
+    TrunkStats,
 };
 use trinity_net::{Endpoint, FrameBuf, MachineId, NetError};
 use trinity_obs::MachineScope;
-use trinity_tfs::Tfs;
+use trinity_tfs::{Tfs, TfsError};
 
 use crate::cache::{CacheStats, RemoteCache};
 use crate::migration::{self, BeginOutcome, MigEntry, MigrationState, SEAL_TIMEOUT};
@@ -351,42 +352,8 @@ impl CloudNode {
     /// entry clears and waiters wake; on failure the entry reverts to
     /// `Spilled` so a later access retries.
     fn fault_in(&self, gid: u64, version: u64) -> Result<()> {
-        let path = trunk_backup_path(gid);
-        let image = match self.tfs.read_versioned(&path) {
-            Ok((_, bytes)) => Some(bytes),
-            // Vanished backup (wiped TFS): an empty trunk matches the
-            // `reload_trunk` durability contract.
-            Err(trinity_tfs::TfsError::NotFound(_)) => None,
-            Err(e) => {
-                self.tiering.fail_fault(gid, version);
-                return Err(e.into());
-            }
-        };
-        if image.is_some() {
-            // A resident remnant (e.g. a staging reload that raced the
-            // spill) would keep cells the image doesn't vouch for: drop
-            // it so the restored trunk is exactly the image.
-            self.store.evict(gid);
-        }
-        let trunk = self.store.ensure_trunk(gid);
-        let mut bytes_in = 0u64;
-        if let Some(bytes) = image {
-            let restored = TrunkSnapshot::decode(&bytes)
-                .ok()
-                .and_then(|snap| snap.restore_into(&trunk).ok());
-            if restored.is_none() {
-                // Undecodable or unrestorable image: drop the partial
-                // trunk and leave the entry Spilled — serving a half
-                // image would silently lose cells.
-                self.store.evict(gid);
-                self.tiering.fail_fault(gid, version);
-                return Err(CloudError::Tfs(trinity_tfs::TfsError::NotFound(path)));
-            }
-            bytes_in = bytes.len() as u64;
-        }
-        self.tiering.finish_fault(gid);
-        self.tiering.metrics.faults.inc();
-        self.tiering.metrics.fault_bytes.add(bytes_in);
+        let image = self.tfs.read(&trunk_backup_path(gid));
+        self.finish_fault_in(gid, version, image)?;
         // The freshly faulted trunk must not be the sweep's next victim —
         // its EWMA score is stale-cold. Pin it across the enforcement.
         self.tiering.pin(gid);
@@ -422,37 +389,37 @@ impl CloudNode {
         let images = self.tfs.read_versioned_many(&paths);
         let mut restored = 0usize;
         for ((gid, version), image) in claims.into_iter().zip(images) {
-            match image {
-                Ok((_, bytes)) => {
-                    let trunk = self.store.ensure_trunk(gid);
-                    let ok = TrunkSnapshot::decode(&bytes)
-                        .ok()
-                        .and_then(|snap| snap.restore_into(&trunk).ok())
-                        .is_some();
-                    if ok {
-                        self.tiering.finish_fault(gid);
-                        self.tiering.metrics.faults.inc();
-                        self.tiering.metrics.fault_bytes.add(bytes.len() as u64);
-                        restored += 1;
-                    } else {
-                        self.store.evict(gid);
-                        self.tiering.fail_fault(gid, version);
-                    }
-                }
-                Err(trinity_tfs::TfsError::NotFound(_)) => {
-                    // Same contract as `reload_trunk`: a vanished backup
-                    // restores as an empty trunk.
-                    self.store.ensure_trunk(gid);
-                    self.tiering.finish_fault(gid);
-                    self.tiering.metrics.faults.inc();
-                    restored += 1;
-                }
-                Err(_) => self.tiering.fail_fault(gid, version),
+            let image = image.map(|(_, bytes)| bytes);
+            if self.finish_fault_in(gid, version, image).is_ok() {
+                restored += 1;
             }
         }
         self.update_resident_gauge();
         let _ = self.enforce_budget();
         Ok(restored)
+    }
+
+    /// Second half of a won fault turn: restore the image read for `gid`
+    /// and settle its tier entry — cleared on success, back to
+    /// `Spilled{version}` on failure.
+    fn finish_fault_in(
+        &self,
+        gid: u64,
+        version: u64,
+        image: std::result::Result<Vec<u8>, TfsError>,
+    ) -> Result<()> {
+        match self.restore_image(gid, image) {
+            Ok(bytes_in) => {
+                self.tiering.finish_fault(gid);
+                self.tiering.metrics.faults.inc();
+                self.tiering.metrics.fault_bytes.add(bytes_in);
+                Ok(())
+            }
+            Err(e) => {
+                self.tiering.fail_fault(gid, version);
+                Err(e)
+            }
+        }
     }
 
     /// Spill one trunk's sealed cell image to TFS and drop it from the
@@ -463,10 +430,10 @@ impl CloudNode {
     /// donor map's **write** lock is a barrier — every in-flight
     /// `gated_mutate` either finished its write under the read lock (the
     /// write is in the capture) or will re-check the tier state and wait
-    /// out the fault-in. The image goes to the trunk's recovery backup
-    /// path via a TFS compare-and-swap, so a crash mid-spill leaves
-    /// either the old image or the new one — never a torn file — and
-    /// recovery's `reload_trunk` reads whichever committed.
+    /// out the fault-in. The image goes through `write_image`, a
+    /// TFS compare-and-swap, so a crash mid-spill leaves either the old
+    /// image or the new one — never a torn file — and recovery's
+    /// `reload_trunk` reads whichever committed.
     pub fn spill_trunk(&self, gid: u64) -> Result<bool> {
         if self.table.read().machine_for(gid) != self.machine
             || self.tiering.pinned(gid)
@@ -486,38 +453,22 @@ impl CloudNode {
                 return Ok(false);
             }
         }
-        let Some(trunk) = self.store.trunk(gid) else {
-            self.tiering.abort_spill(gid);
-            return Ok(false);
-        };
-        let image = TrunkSnapshot::capture(&trunk).encode();
-        let path = trunk_backup_path(gid);
-        loop {
-            let expected = match self.tfs.read_versioned(&path) {
-                Ok((v, _)) => v,
-                Err(trinity_tfs::TfsError::NotFound(_)) => 0,
-                Err(e) => {
-                    self.tiering.abort_spill(gid);
-                    return Err(e.into());
-                }
-            };
-            match self.tfs.write_if_version(&path, &image, expected) {
-                Ok(version) => {
-                    self.store.evict(gid);
-                    self.tiering.commit_spill(gid, version);
-                    self.tiering.metrics.spills.inc();
-                    self.tiering.metrics.spill_bytes.add(image.len() as u64);
-                    self.update_resident_gauge();
-                    return Ok(true);
-                }
-                // Lost the CAS to a concurrent backup writer. The trunk
-                // is sealed, so our capture is still current: re-read
-                // the version and retry.
-                Err(trinity_tfs::TfsError::VersionMismatch { .. }) => continue,
-                Err(e) => {
-                    self.tiering.abort_spill(gid);
-                    return Err(e.into());
-                }
+        match self.write_image(gid, true) {
+            Ok(Some((version, bytes_out))) => {
+                self.store.evict(gid);
+                self.tiering.commit_spill(gid, version);
+                self.tiering.metrics.spills.inc();
+                self.tiering.metrics.spill_bytes.add(bytes_out);
+                self.update_resident_gauge();
+                Ok(true)
+            }
+            Ok(None) => {
+                self.tiering.abort_spill(gid);
+                Ok(false)
+            }
+            Err(e) => {
+                self.tiering.abort_spill(gid);
+                Err(e)
             }
         }
     }
@@ -809,7 +760,7 @@ impl CloudNode {
                     self.migration.moved_epoch(gid)
                 }
             }
-            Err(trinity_tfs::TfsError::NotFound(_)) => {
+            Err(TfsError::NotFound(_)) => {
                 // No primary was ever persisted, so no flip can exist.
                 self.migration.abort_donor(gid, Some(mid));
                 None
@@ -1186,8 +1137,9 @@ impl CloudNode {
             }
             self.store.ensure_trunk(gid);
         }
-        match self.backup_trunk(gid) {
-            Ok(()) => {
+        match self.write_image(gid, false) {
+            // `None`: TFS already holds the trunk's newest image.
+            Ok(_) => {
                 // Committed only after the TFS image landed: a staging
                 // whose backup failed is still untrusted at flip time.
                 self.migration.commit_incoming(gid, mid);
@@ -1480,13 +1432,11 @@ impl CloudNode {
     // Persistence & reconfiguration
     // ------------------------------------------------------------------
 
-    /// Back one trunk up to TFS.
+    /// Back one trunk up to TFS through `write_image`. A trunk
+    /// that is not resident, or whose image a spill owns, is skipped: the
+    /// TFS image is already its newest state.
     pub fn backup_trunk(&self, gid: u64) -> Result<()> {
-        if let Some(trunk) = self.store.trunk(gid) {
-            let snap = TrunkSnapshot::capture(&trunk);
-            self.tfs.write(&trunk_backup_path(gid), &snap.encode())?;
-        }
-        Ok(())
+        self.write_image(gid, false).map(|_| ())
     }
 
     /// Back all locally *owned* trunks up to TFS (fault-tolerant data
@@ -1508,22 +1458,84 @@ impl CloudNode {
     /// yield an empty trunk — the data was never persisted, matching the
     /// paper's durability contract.
     pub fn reload_trunk(&self, gid: u64) -> Result<()> {
-        let trunk = self.store.ensure_trunk(gid);
-        match self.tfs.read(&trunk_backup_path(gid)) {
-            Ok(bytes) => {
-                let snap = TrunkSnapshot::decode(&bytes).map_err(|_| {
-                    CloudError::Tfs(trinity_tfs::TfsError::NotFound(trunk_backup_path(gid)))
-                })?;
-                snap.restore_into(&trunk).map_err(|_| {
-                    CloudError::Store(StoreError::OutOfMemory {
-                        requested: 0,
-                        reserved: 0,
-                    })
-                })?;
-                Ok(())
+        let image = self.tfs.read(&trunk_backup_path(gid));
+        self.restore_image(gid, image).map(|_| ())
+    }
+
+    /// The one writer of trunk images ([`trunk_backup_path`]): backups,
+    /// spills and `MIG_COMMIT` all land here. Reads the file's TFS
+    /// version, captures the resident trunk, and compare-and-swaps the
+    /// image in; a lost race re-checks residency and starts over. Returns
+    /// the new file version and the image size, or `None` when there is
+    /// nothing to write — the trunk is not resident, or (unless
+    /// `spilling`) it is spilled, so TFS already holds its newest image.
+    ///
+    /// `spilling` marks the caller as the trunk's spiller: it holds the
+    /// `Spilling` entry and has sealed the trunk. Every other caller
+    /// first waits out an in-flight spill or fault-in. A spill committed
+    /// before the version read leaves the trunk spilled (skip); one
+    /// committed after it bumps the version and fails this CAS. Either
+    /// way a backup captured before a spill can never overwrite the newer
+    /// spill image.
+    fn write_image(&self, gid: u64, spilling: bool) -> Result<Option<(u64, u64)>> {
+        let path = trunk_backup_path(gid);
+        loop {
+            let expected = match self.tfs.read_versioned(&path) {
+                Ok((v, _)) => v,
+                Err(TfsError::NotFound(_)) => 0,
+                Err(e) => return Err(e.into()),
+            };
+            if !spilling && self.tiering.settle(gid).is_some() {
+                return Ok(None);
             }
-            Err(trinity_tfs::TfsError::NotFound(_)) => Ok(()),
-            Err(e) => Err(e.into()),
+            let Some(trunk) = self.store.trunk(gid) else {
+                return Ok(None);
+            };
+            let image = TrunkSnapshot::capture(&trunk).encode();
+            match self.tfs.write_if_version(&path, &image, expected) {
+                Ok(version) => return Ok(Some((version, image.len() as u64))),
+                Err(TfsError::VersionMismatch { .. }) => continue,
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// The one restorer of trunk images: make `gid`'s resident trunk
+    /// exactly the image read from TFS. Fault-ins (single and bulk) and
+    /// `reload_trunk` all land here. Any resident remnant is evicted
+    /// first, so cells the image does not vouch for cannot survive. A
+    /// missing image restores an empty trunk (the data was never
+    /// persisted). Errors map one way: a failed read is returned as is
+    /// and touches nothing; an undecodable image is `Tfs(NotFound)`; a
+    /// cell that will not load is its `Store` error. A bad image leaves
+    /// no trunk behind — serving half an image would silently lose
+    /// cells. Returns the image bytes restored.
+    fn restore_image(
+        &self,
+        gid: u64,
+        image: std::result::Result<Vec<u8>, TfsError>,
+    ) -> Result<u64> {
+        let image = match image {
+            Ok(bytes) => Some(bytes),
+            Err(TfsError::NotFound(_)) => None,
+            Err(e) => return Err(e.into()),
+        };
+        self.store.evict(gid);
+        let trunk = self.store.ensure_trunk(gid);
+        let Some(bytes) = image else {
+            return Ok(0);
+        };
+        match TrunkSnapshot::decode(&bytes).and_then(|snap| snap.restore_into(&trunk)) {
+            Ok(()) => Ok(bytes.len() as u64),
+            Err(e) => {
+                self.store.evict(gid);
+                Err(match e {
+                    SnapshotError::Load(_, e) => CloudError::Store(e),
+                    SnapshotError::BadMagic | SnapshotError::Truncated => {
+                        CloudError::Tfs(TfsError::NotFound(trunk_backup_path(gid)))
+                    }
+                })
+            }
         }
     }
 
@@ -1576,9 +1588,8 @@ impl CloudNode {
                 // partial stream whose coordinator never sent COMMIT.
                 // Becoming the owner through any other path (failure
                 // recovery, a competing migration) must not adopt it:
-                // evict and reload the last good TFS backup.
+                // the reload evicts it for the last good TFS backup.
                 self.migration.drop_incoming(gid);
-                self.store.evict(gid);
                 self.reload_trunk(gid)?;
             }
         }
@@ -1647,7 +1658,7 @@ impl CloudNode {
                     Err(CloudError::BadReply)
                 }
             }
-            Err(trinity_tfs::TfsError::NotFound(_)) => Ok(false),
+            Err(TfsError::NotFound(_)) => Ok(false),
             Err(e) => Err(e.into()),
         }
     }

@@ -274,6 +274,25 @@ impl Tiering {
         }
     }
 
+    /// Wait out an in-flight spill or fault-in of `gid`, then report where
+    /// its data lives: `None` (resident) or `Spilled`. The image writer's
+    /// residency check — a backup must neither capture a half-restored
+    /// trunk nor skip one whose spill is about to abort.
+    pub(crate) fn settle(&self, gid: u64) -> Option<TierState> {
+        if !self.is_active() {
+            return None;
+        }
+        let mut states = self.states.lock();
+        loop {
+            match states.get(&gid).copied() {
+                Some(TierState::Spilling) | Some(TierState::FaultingIn) => {
+                    self.cv.wait(&mut states);
+                }
+                settled => return settled,
+            }
+        }
+    }
+
     /// Fault-in finished: the trunk is resident again.
     pub(crate) fn finish_fault(&self, gid: u64) {
         let mut states = self.states.lock();

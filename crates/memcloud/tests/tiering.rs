@@ -341,3 +341,32 @@ fn writes_to_spilled_trunks_fault_in_and_land() {
     }
     cloud.shutdown();
 }
+
+/// A resident remnant left beside a spilled trunk (here a stray cell
+/// written straight into the memstore) must not survive the prefetcher's
+/// bulk fault-in: the restored trunk is exactly the spill image, as on
+/// the single-trunk fault path.
+#[test]
+fn bulk_fault_in_drops_a_resident_remnant() {
+    let cloud = MemoryCloud::new(CloudConfig::small(2));
+    let node = cloud.node(0);
+    let gid = node.table().trunks_of(node.machine())[0];
+    let table = node.table();
+    let mut ids = (0u64..).filter(|&k| table.trunk_of(k) == gid);
+    for k in ids.by_ref().take(16) {
+        node.put(k, &k.to_le_bytes()).unwrap();
+    }
+    assert!(node.spill_trunk(gid).unwrap());
+    let (_, spilled) = cloud.tfs().read_versioned(&trunk_backup_path(gid)).unwrap();
+    let stray = ids.next().unwrap();
+    node.store().ensure_trunk(gid).put(stray, b"stray").unwrap();
+    assert_eq!(node.fault_in_many(&[gid]).unwrap(), 1);
+    assert_eq!(
+        node.get(stray).unwrap(),
+        None,
+        "the remnant's cell survived"
+    );
+    let trunk = node.store().trunk(gid).unwrap();
+    assert_eq!(TrunkSnapshot::capture(&trunk).encode(), spilled);
+    cloud.shutdown();
+}

@@ -106,7 +106,7 @@ struct NetMetrics {
     /// machine's outbound transfers.
     modeled_tx_us: Arc<Counter>,
     /// Payload bytes memcpy'd on this machine's send paths — a *true* copy
-    /// count: every path (`call`, `send`, `send_batch`, `send_slices`)
+    /// count: every path (`call`, `send`, `send_slices`)
     /// records its arena copy here and nothing else counts. Dividing by
     /// [`Self::frame_payload_bytes`] gives copies-per-payload-byte, which
     /// the zero-copy wire path holds at ≤ 1.0.
@@ -359,30 +359,6 @@ impl Endpoint {
         }
         let mut buf = self.pack_bufs[dst.0 as usize].lock();
         self.buffer_frame(&mut buf, dst, proto, payload, trace, deadline);
-    }
-
-    /// Batched one-way messages: append `payloads` (drained) to `dst`'s
-    /// pack buffer under a single lock acquisition, shipping full
-    /// envelopes at the packing threshold along the way. Semantically
-    /// identical to calling [`Endpoint::send`] once per payload, but a
-    /// concurrent sender (a BSP compute worker flushing its outbox)
-    /// contends on the per-destination lock once per batch instead of
-    /// once per message, and per-destination FIFO order within the batch
-    /// is preserved because threshold flushes happen while the lock is
-    /// held.
-    pub fn send_batch(&self, dst: MachineId, proto: ProtoId, payloads: &mut Vec<Vec<u8>>) {
-        if dst == self.machine {
-            for payload in payloads.drain(..) {
-                self.send(dst, proto, &payload);
-            }
-            return;
-        }
-        let trace = current_trace();
-        let deadline = current_deadline();
-        let mut buf = self.pack_bufs[dst.0 as usize].lock();
-        for payload in payloads.drain(..) {
-            self.buffer_frame(&mut buf, dst, proto, &payload, trace, deadline);
-        }
     }
 
     /// Batched one-way messages from one flat buffer: `bounds[i-1]..bounds[i]`

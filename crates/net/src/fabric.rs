@@ -389,10 +389,11 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_send_batch_delivers_everything_packed() {
+    fn concurrent_send_slices_delivers_everything_packed() {
         // Several sender threads (BSP compute workers flushing private
-        // outboxes) push batches to the same destinations concurrently;
-        // every frame must arrive exactly once and still pack well.
+        // flat outboxes) push batches to the same destinations
+        // concurrently; every frame must arrive exactly once and still
+        // pack well.
         let fabric = Fabric::new(quick_cfg(3));
         let sums: Vec<Arc<AtomicUsize>> = (0..3).map(|_| Arc::new(AtomicUsize::new(0))).collect();
         let counts: Vec<Arc<AtomicUsize>> = (0..3).map(|_| Arc::new(AtomicUsize::new(0))).collect();
@@ -413,18 +414,24 @@ mod tests {
             for w in 0..workers {
                 let a = Arc::clone(&a);
                 s.spawn(move || {
-                    let mut outbox: Vec<Vec<Vec<u8>>> = vec![Vec::new(); 3];
+                    // Per destination: encoded payloads back to back, and
+                    // the end offset of each.
+                    let mut outbox: Vec<(Vec<u8>, Vec<usize>)> = vec![Default::default(); 3];
                     for i in 0..per_worker {
                         let v = w * per_worker + i;
                         let dst = 1 + (v % 2) as usize;
-                        outbox[dst].push(v.to_le_bytes().to_vec());
-                        if outbox[dst].len() >= 32 {
-                            a.send_batch(MachineId(dst as u16), 10, &mut outbox[dst]);
+                        let (data, bounds) = &mut outbox[dst];
+                        data.extend_from_slice(&v.to_le_bytes());
+                        bounds.push(data.len());
+                        if bounds.len() >= 32 {
+                            a.send_slices(MachineId(dst as u16), 10, data, bounds);
+                            data.clear();
+                            bounds.clear();
                         }
                     }
-                    for (dst, buf) in outbox.iter_mut().enumerate() {
-                        if !buf.is_empty() {
-                            a.send_batch(MachineId(dst as u16), 10, buf);
+                    for (dst, (data, bounds)) in outbox.iter().enumerate() {
+                        if !bounds.is_empty() {
+                            a.send_slices(MachineId(dst as u16), 10, data, bounds);
                         }
                     }
                 });

@@ -21,6 +21,9 @@ cargo clippy --workspace --all-targets "${HERMETIC[@]}" "$@" -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q "${HERMETIC[@]}" "$@"
 
+echo "==> perfbench build (the benchmark is its own workspace: an API change must not break it)"
+cargo build --release "${HERMETIC[@]}" --manifest-path perfbench/Cargo.toml
+
 echo "==> serve_load --smoke (serving-path gate: admission + deadlines + shedding)"
 cargo run --release -p trinity-bench --bin serve_load "${HERMETIC[@]}" "$@" -- --smoke
 
