@@ -27,9 +27,12 @@
 //! plus the full metrics registry.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 
 use trinity_algos::pagerank_distributed;
-use trinity_bench::{cloud_with_graph, header, row, scaled, secs, timed, MetricsOut};
+use trinity_bench::{
+    cloud_with_graph, header, row, scaled, secs, timed, wall_regression_gate, MetricsOut,
+};
 use trinity_core::BspConfig;
 use trinity_graph::LoadOptions;
 use trinity_obs::Json;
@@ -166,61 +169,12 @@ fn main() {
             ratio <= 1.05,
             "one-copy contract broken on the BSP path: {ratio:.3} copies per payload byte"
         );
-        wall_regression_gate(baseline_wall);
+        wall_regression_gate(
+            Path::new("results/bsp_scaling.baseline.json"),
+            "wall_1thread_seconds",
+            "1-thread",
+            baseline_wall,
+        );
         println!("smoke: OK (results bit-identical across thread counts)");
-    }
-}
-
-/// Wall-clock regression gate: compare this run's single-thread wall
-/// time against a baseline recorded on this host. First run records the
-/// baseline; later runs fail if the wall more than doubles (generous —
-/// the gate is for catching order-of-magnitude hot-path regressions like
-/// a reintroduced per-frame copy, not for timing noise), and re-record
-/// the baseline whenever the run is faster, so the bound ratchets down
-/// as the wire path improves.
-fn wall_regression_gate(wall_1thread: f64) {
-    const TOLERANCE: f64 = 2.0;
-    let path = std::path::Path::new("results/bsp_scaling.baseline.json");
-    let recorded: Option<f64> = std::fs::read_to_string(path).ok().and_then(|s| {
-        s.split(':')
-            .nth(1)?
-            .trim()
-            .trim_end_matches(['}', '\n', ' '])
-            .parse()
-            .ok()
-    });
-    let record = |wall: f64| {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::write(path, format!("{{\"wall_1thread_seconds\":{wall:.6}}}\n")) {
-            Ok(()) => println!(
-                "smoke: recorded wall baseline {} to {}",
-                secs(wall),
-                path.display()
-            ),
-            Err(e) => eprintln!("smoke: failed to record baseline: {e}"),
-        }
-    };
-    match recorded {
-        None => record(wall_1thread),
-        Some(base) => {
-            assert!(
-                wall_1thread <= base * TOLERANCE,
-                "wall-clock regression: 1-thread run took {} vs recorded baseline {} \
-                 (>{TOLERANCE}x; delete {} if the host changed)",
-                secs(wall_1thread),
-                secs(base),
-                path.display(),
-            );
-            println!(
-                "smoke: wall {} within {TOLERANCE}x of baseline {}",
-                secs(wall_1thread),
-                secs(base)
-            );
-            if wall_1thread < base {
-                record(wall_1thread);
-            }
-        }
     }
 }

@@ -23,10 +23,13 @@
 //! commits, re-recording whenever the run gets faster.
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use trinity_bench::{bytes, cloud_with_graph, header, row, scaled, secs, timed, MetricsOut};
+use trinity_bench::{
+    bytes, cloud_with_graph, header, row, scaled, secs, timed, wall_regression_gate, MetricsOut,
+};
 use trinity_core::bsp::SuperstepHook;
 use trinity_core::BucketPrefetcher;
 use trinity_elastic::{MigrationConfig, MigrationEngine};
@@ -224,7 +227,12 @@ fn main() {
             "smoke: prefetch delivered {:.0}% of bucket transitions resident (gate 80%)",
             hit_rate * 100.0
         );
-        wall_regression_gate(wall_half);
+        wall_regression_gate(
+            Path::new("results/tiering.baseline.json"),
+            "wall_halfbudget_seconds",
+            "out-of-core 0.5x-budget",
+            wall_half,
+        );
         println!("smoke: OK (checksums bit-identical across all budgets; chaos seeds clean)");
     }
 }
@@ -414,55 +422,4 @@ fn count_divergence(cloud: &MemoryCloud, model: &HashMap<u64, Vec<u8>>) -> u64 {
         }
     }
     divergence
-}
-
-/// Wall-clock ratchet for the out-of-core path, mirroring
-/// `bsp_scaling`'s gate: first run records the 0.5x-budget wall; later
-/// runs fail past 2x, and faster runs re-record so the bound only
-/// tightens.
-fn wall_regression_gate(wall_half: f64) {
-    const TOLERANCE: f64 = 2.0;
-    let path = std::path::Path::new("results/tiering.baseline.json");
-    let recorded: Option<f64> = std::fs::read_to_string(path).ok().and_then(|s| {
-        s.split(':')
-            .nth(1)?
-            .trim()
-            .trim_end_matches(['}', '\n', ' '])
-            .parse()
-            .ok()
-    });
-    let record = |wall: f64| {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::write(path, format!("{{\"wall_halfbudget_seconds\":{wall:.6}}}\n")) {
-            Ok(()) => println!(
-                "smoke: recorded out-of-core wall baseline {} to {}",
-                secs(wall),
-                path.display()
-            ),
-            Err(e) => eprintln!("smoke: failed to record baseline: {e}"),
-        }
-    };
-    match recorded {
-        None => record(wall_half),
-        Some(base) => {
-            assert!(
-                wall_half <= base * TOLERANCE,
-                "out-of-core wall regression: 0.5x-budget run took {} vs baseline {} \
-                 (>{TOLERANCE}x; delete {} if the host changed)",
-                secs(wall_half),
-                secs(base),
-                path.display(),
-            );
-            println!(
-                "smoke: out-of-core wall {} within {TOLERANCE}x of baseline {}",
-                secs(wall_half),
-                secs(base)
-            );
-            if wall_half < base {
-                record(wall_half);
-            }
-        }
-    }
 }

@@ -6,7 +6,7 @@
 //! plus the experiment's headline claim so EXPERIMENTS.md can record
 //! paper-vs-measured side by side.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -76,6 +76,59 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let t0 = Instant::now();
     let r = f();
     (r, t0.elapsed().as_secs_f64())
+}
+
+/// Wall-clock ratchet for a `--smoke` gate: compare `wall` seconds
+/// against the baseline recorded on this host as `{"<key>":<seconds>}` in
+/// `path`. The first run records the baseline; later runs fail if the
+/// wall more than doubles (generous — the gate catches order-of-magnitude
+/// hot-path regressions like a reintroduced per-frame copy, not timing
+/// noise), and re-record the baseline whenever the run is faster.
+/// `label` names the measured run in the messages.
+pub fn wall_regression_gate(path: &Path, key: &str, label: &str, wall: f64) {
+    const TOLERANCE: f64 = 2.0;
+    let recorded: Option<f64> = std::fs::read_to_string(path).ok().and_then(|s| {
+        s.trim()
+            .strip_prefix(&format!("{{\"{key}\":"))?
+            .trim_end_matches('}')
+            .trim()
+            .parse()
+            .ok()
+    });
+    let record = |wall: f64| {
+        if let Some(dir) = path.parent() {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        match std::fs::write(path, format!("{{\"{key}\":{wall:.6}}}\n")) {
+            Ok(()) => println!(
+                "smoke: recorded {label} wall baseline {} to {}",
+                secs(wall),
+                path.display()
+            ),
+            Err(e) => eprintln!("smoke: failed to record baseline: {e}"),
+        }
+    };
+    match recorded {
+        None => record(wall),
+        Some(base) => {
+            assert!(
+                wall <= base * TOLERANCE,
+                "wall-clock regression: {label} run took {} vs recorded baseline {} \
+                 (>{TOLERANCE}x; delete {} if the host changed)",
+                secs(wall),
+                secs(base),
+                path.display(),
+            );
+            println!(
+                "smoke: {label} wall {} within {TOLERANCE}x of baseline {}",
+                secs(wall),
+                secs(base)
+            );
+            if wall < base {
+                record(wall);
+            }
+        }
+    }
 }
 
 /// Scale factor from the environment: `TRINITY_BENCH_SCALE=2` doubles the

@@ -7,8 +7,8 @@
 //! slice) on a fabric whose interconnect misbehaves on a seeded schedule
 //! (see `trinity_net::FaultPlan`), and checking invariants afterwards:
 //!
-//! 1. **Exactness under benign faults** — delays, duplicates, and bounded
-//!    reordering must not change any result: BSP states, traversal
+//! 1. **Exactness under benign faults** — delays and duplicates must not
+//!    change any result: BSP states, traversal
 //!    neighborhoods, and query answers are byte-equal to a fault-free
 //!    run.
 //! 2. **Exactness under crashes** — a machine crash followed by the §6

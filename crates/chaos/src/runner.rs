@@ -17,7 +17,7 @@ pub struct ChaosRun {
     /// Every fault the injector recorded during the run.
     pub log: FaultLog,
     /// Envelopes still parked inside the injector after quiescence
-    /// (must be 0: nothing may leak in delay timers or reorder slots).
+    /// (must be 0: nothing may leak in delay timers).
     pub leaked: u64,
     /// Frame-ledger imbalance after quiescence:
     /// `(entered + duplicated) - (consumed + swallowed)`. Must be 0.

@@ -229,7 +229,7 @@ impl ChaosWorkload for BspRingMax {
 }
 
 /// Multi-hop neighborhood exploration from pinned start vertices on a
-/// social graph. Benign faults (duplicates, delays, reordering) must not
+/// social graph. Benign faults (duplicates, delays) must not
 /// change any per-hop frontier size: exploration handlers are
 /// idempotent reads, and duplicate responses are discarded by
 /// correlation matching.
@@ -1000,7 +1000,6 @@ impl ChaosWorkload for MigrationStorm {
             let engine = MigrationEngine::new(MigrationConfig {
                 chunk_cells: 4,
                 coordinator: Some(self.coordinator),
-                ..MigrationConfig::default()
             })
             .with_phase_hook({
                 let fabric = Arc::clone(&fabric);

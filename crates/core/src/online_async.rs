@@ -65,14 +65,6 @@ struct MachineState {
     next_batch: AtomicU64,
 }
 
-/// Expansion pool tuning for the batch handler.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AsyncExplorerConfig {
-    /// Worker threads per machine for child-batch expansion. `0` means
-    /// trunk-aligned, like [`crate::BspConfig::compute_threads`].
-    pub compute_threads: usize,
-}
-
 /// Batches below this size expand serially; see
 /// [`crate::online`]'s identical threshold for rationale.
 const PARALLEL_BATCH: usize = 256;
@@ -173,17 +165,14 @@ fn encode_ack(qid: u64, batch: u64) -> Vec<u8> {
 }
 
 impl AsyncExplorer {
-    /// Install the asynchronous exploration protocol on every slave.
+    /// Install the asynchronous exploration protocol on every slave. Each
+    /// slave expands large child batches on a trunk-aligned worker pool,
+    /// the width [`crate::BspConfig::compute_threads`] defaults to.
     pub fn install(cloud: Arc<MemoryCloud>) -> Arc<Self> {
-        Self::install_with(cloud, AsyncExplorerConfig::default())
-    }
-
-    /// [`AsyncExplorer::install`] with explicit expansion-pool tuning.
-    pub fn install_with(cloud: Arc<MemoryCloud>, cfg: AsyncExplorerConfig) -> Arc<Self> {
         let workers: Vec<usize> = (0..cloud.machines())
             .map(|m| {
                 let trunks = cloud.node(m).table().trunks_of(MachineId(m as u16)).len();
-                crate::bsp::resolve_compute_threads(cfg.compute_threads, trunks)
+                crate::bsp::resolve_compute_threads(0, trunks)
             })
             .collect();
         let states: Vec<Arc<MachineState>> = (0..cloud.machines())

@@ -40,7 +40,6 @@
 //! [`MiniTx`]: crate::minitx::MiniTx
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -389,7 +388,8 @@ impl Topology {
 /// differential oracle replays.
 #[derive(Debug, Clone)]
 pub struct CommittedBatch {
-    /// Monotone per-ingest sequence number (1-based).
+    /// Monotone per-ingest sequence number (1-based), assigned by
+    /// [`MutationLog::push`]: log order and sequence order are one order.
     pub seq: u64,
     pub mutations: Vec<Mutation>,
     pub dirty: DirtySet,
@@ -413,8 +413,14 @@ impl MutationLog {
         MutationLog::default()
     }
 
-    pub fn push(&self, batch: CommittedBatch) {
-        self.entries.lock().push(batch);
+    /// Append `batch`, assigning its sequence number under the log lock
+    /// so concurrently sealed batches are numbered in the order they are
+    /// logged. Returns the numbered batch.
+    pub fn push(&self, mut batch: CommittedBatch) -> CommittedBatch {
+        let mut entries = self.entries.lock();
+        batch.seq = entries.len() as u64 + 1;
+        entries.push(batch.clone());
+        batch
     }
 
     pub fn len(&self) -> usize {
@@ -430,15 +436,10 @@ impl MutationLog {
         self.entries.lock().clone()
     }
 
-    /// Replay every logged batch (in order, deduplicated by sequence
-    /// number) onto `base` and return the resulting graph.
+    /// Replay every logged batch, in log order, onto `base` and return
+    /// the resulting graph.
     pub fn replay_onto(&self, mut base: Topology) -> Topology {
-        let mut last = 0u64;
         for b in self.entries.lock().iter() {
-            if b.seq <= last {
-                continue;
-            }
-            last = b.seq;
             for m in &b.mutations {
                 base.apply(m);
             }
@@ -470,7 +471,6 @@ pub struct StreamingIngest {
     cloud: Arc<MemoryCloud>,
     svc: Arc<TxService>,
     log: Arc<MutationLog>,
-    next_seq: AtomicU64,
     obs: MachineScope,
 }
 
@@ -491,7 +491,6 @@ impl StreamingIngest {
             cloud,
             svc,
             log: Arc::new(MutationLog::new()),
-            next_seq: AtomicU64::new(1),
             obs,
         }
     }
@@ -615,13 +614,13 @@ impl StreamingIngest {
             }),
             |w| post.get(&w).is_none_or(|r| r.is_some()),
         );
-        let committed = CommittedBatch {
-            seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
+        let committed = self.log.push(CommittedBatch {
+            seq: 0,
             mutations: batch.mutations.clone(),
             dirty,
             commit_us: start.elapsed().as_micros() as u64,
             committed_at: Instant::now(),
-        };
+        });
         self.obs.counter("stream.batches").inc();
         self.obs
             .counter("stream.mutations")
@@ -629,7 +628,6 @@ impl StreamingIngest {
         self.obs
             .counter("stream.dirty_vertices")
             .add(committed.dirty.len() as u64);
-        self.log.push(committed.clone());
         committed
     }
 
@@ -888,6 +886,64 @@ mod tests {
         assert!(!second.dirty.vertex_set_changed);
         let after: Vec<_> = (10u64..13).map(|v| cloud.node(0).get(v).unwrap()).collect();
         assert_eq!(before, after);
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn concurrent_commits_log_in_sequence_and_replay_to_the_store() {
+        use trinity_graph::{load_graph, Csr, LoadOptions};
+        const N: u64 = 16;
+        const BATCHES: u64 = 200;
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
+        let svc = TxService::install(Arc::clone(&cloud));
+        let ring = Csr::from_arcs(
+            N as usize,
+            (0..N).map(|v| (v, (v + 1) % N)).collect(),
+            true,
+            false,
+        );
+        let opts = LoadOptions {
+            with_in_links: true,
+            ..LoadOptions::default()
+        };
+        let dg = load_graph(Arc::clone(&cloud), &ring, &opts).unwrap();
+        let base = Topology::from_graph(&dg);
+        let ingest = StreamingIngest::new(Arc::clone(&cloud), svc, 0);
+        // Two writers on disjoint id ranges: their batches never touch
+        // the same cell, so every commit succeeds and any two may seal
+        // concurrently.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (w, lo) in [(0usize, 100u64), (1, 200)] {
+                let (ingest, start) = (&ingest, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for k in 0..BATCHES {
+                        let a = lo + k % 10;
+                        let b = lo + (k * 7 + 3) % 10;
+                        let muts = if k % 5 == 4 {
+                            vec![Mutation::RemoveEdge(a, b)]
+                        } else {
+                            vec![Mutation::AddEdge(a, b), Mutation::AddEdge(a, k % N)]
+                        };
+                        ingest
+                            .commit_batch((w + k as usize) % 3, &MutationBatch::new(muts))
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let log = ingest.log().snapshot();
+        assert_eq!(log.len() as u64, 2 * BATCHES);
+        for pair in log.windows(2) {
+            assert!(
+                pair[0].seq < pair[1].seq,
+                "log order breaks sequence order: {} then {}",
+                pair[0].seq,
+                pair[1].seq
+            );
+        }
+        assert_eq!(ingest.log().replay_onto(base), Topology::from_graph(&dg));
         cloud.shutdown();
     }
 }

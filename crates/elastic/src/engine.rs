@@ -103,23 +103,24 @@ impl MigrationPhase {
     }
 }
 
+/// Soft byte bound per streamed chunk (the chunk ends at the cell that
+/// crosses it).
+const CHUNK_BYTES: u32 = 256 * 1024;
+/// Seal once a catch-up drain leaves at most this many dirty cells — the
+/// remainder drains inside the (brief) seal window.
+const CATCHUP_THRESHOLD: u64 = 16;
+/// Catch-up rounds before sealing regardless of the dirty backlog (bounds
+/// the chase against a write-heavy trunk).
+const MAX_CATCHUP_ROUNDS: u32 = 8;
+/// Imbalance (max/mean machine hotness) the rebalance planner drives the
+/// cluster under.
+const REBALANCE_THRESHOLD: f64 = 1.5;
+
 /// Tuning knobs for the migration engine.
 #[derive(Debug, Clone)]
 pub struct MigrationConfig {
     /// Max cells per streamed chunk.
     pub chunk_cells: u32,
-    /// Soft byte bound per streamed chunk (the chunk ends at the cell
-    /// that crosses it).
-    pub chunk_bytes: u32,
-    /// Seal once a catch-up drain leaves at most this many dirty cells —
-    /// the remainder drains inside the (brief) seal window.
-    pub catchup_threshold: u64,
-    /// Catch-up rounds before sealing regardless of the dirty backlog
-    /// (bounds the chase against a write-heavy trunk).
-    pub max_catchup_rounds: u32,
-    /// Imbalance (max/mean machine hotness) the rebalance planner drives
-    /// the cluster under.
-    pub rebalance_threshold: f64,
     /// Machine to issue coordinator frames from; `None` picks the first
     /// live machine. The recovery leader sets this to itself.
     pub coordinator: Option<u16>,
@@ -129,10 +130,6 @@ impl Default for MigrationConfig {
     fn default() -> Self {
         MigrationConfig {
             chunk_cells: 128,
-            chunk_bytes: 256 * 1024,
-            catchup_threshold: 16,
-            max_catchup_rounds: 8,
-            rebalance_threshold: 1.5,
             coordinator: None,
         }
     }
@@ -310,7 +307,7 @@ impl MigrationEngine {
                 trunk,
                 cursor,
                 self.cfg.chunk_cells,
-                self.cfg.chunk_bytes,
+                CHUNK_BYTES,
             )?;
             if !entries.is_empty() {
                 cells_moved += entries.len() as u64;
@@ -325,14 +322,14 @@ impl MigrationEngine {
 
         self.phase(MigrationPhase::CatchUp, trunk);
         let mut delta_replayed = 0u64;
-        for _ in 0..self.cfg.max_catchup_rounds.max(1) {
+        for _ in 0..MAX_CATCHUP_ROUNDS {
             let (remaining, entries) =
                 migration::drain_delta(ep, from, mid, trunk, self.cfg.chunk_cells)?;
             if !entries.is_empty() {
                 delta_replayed += entries.len() as u64;
                 migration::apply(ep, to, mid, trunk, &entries)?;
             }
-            if remaining <= self.cfg.catchup_threshold {
+            if remaining <= CATCHUP_THRESHOLD {
                 break;
             }
         }
@@ -438,13 +435,13 @@ impl MigrationEngine {
     }
 
     /// Load-driven rebalance: merge the cluster's per-trunk hotness,
-    /// plan the fewest moves that bring imbalance at or under the
-    /// configured threshold, and execute them. Returns the reports (an
-    /// empty vec when the cluster is already balanced).
+    /// plan the fewest moves that bring max/mean imbalance at or under
+    /// 1.5, and execute them. Returns the reports (an empty vec when the
+    /// cluster is already balanced).
     pub fn rebalance(&self, cloud: &MemoryCloud) -> Result<Vec<MigrationReport>> {
         let table = read_primary(cloud)?;
         let scores = cluster_trunk_scores(cloud);
-        let moves = plan_rebalance(&table, &scores, self.cfg.rebalance_threshold);
+        let moves = plan_rebalance(&table, &scores, REBALANCE_THRESHOLD);
         self.execute(cloud, &moves)
     }
 }

@@ -54,13 +54,6 @@ pub struct CloudConfig {
     /// Must be uniform across the cloud — the coherence protocol skips
     /// machines entirely when the cache is off.
     pub cache_capacity: usize,
-    /// Per-machine resident-memory budget in bytes; 0 (the default)
-    /// disables trunk tiering. With a budget set, each node spills its
-    /// coldest trunks' sealed images to TFS whenever resident bytes
-    /// exceed the budget, and faults them back in on access — graphs
-    /// larger than RAM at the cost of TFS round-trips on cold reads
-    /// (DESIGN.md §15).
-    pub memory_budget_bytes: u64,
 }
 
 impl CloudConfig {
@@ -83,7 +76,6 @@ impl CloudConfig {
             standby_machines: 0,
             faults: None,
             cache_capacity: 4096,
-            memory_budget_bytes: 0,
         }
     }
 
@@ -142,15 +134,15 @@ impl MemoryCloud {
                 )
             })
             .collect();
-        let cloud = MemoryCloud { fabric, tfs, nodes };
-        if cfg.memory_budget_bytes > 0 {
-            cloud.set_memory_budget(cfg.memory_budget_bytes);
-        }
-        cloud
+        MemoryCloud { fabric, tfs, nodes }
     }
 
-    /// Set every machine's resident-memory budget (0 = unlimited) and
-    /// enforce it immediately. Enforcement failures are best-effort at
+    /// Set every machine's resident-memory budget (0 = unlimited, the
+    /// default) and enforce it immediately. With a budget set, each node
+    /// spills its coldest trunks' sealed images to TFS whenever resident
+    /// bytes exceed the budget, and faults them back in on access —
+    /// graphs larger than RAM at the cost of TFS round-trips on cold
+    /// reads (DESIGN.md §15). Enforcement failures are best-effort at
     /// this level — a machine that cannot reach TFS simply stays over
     /// budget until its next sweep.
     pub fn set_memory_budget(&self, bytes: u64) {

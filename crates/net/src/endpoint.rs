@@ -87,18 +87,12 @@ impl Default for PackBuf {
 }
 
 /// Cached metric handles for the fabric hot path — resolved once at
-/// endpoint construction so recording never performs a name lookup.
+/// endpoint construction so recording never performs a name lookup. The
+/// send-side and delivery ledger counters live in [`NetStats`].
 struct NetMetrics {
-    env_sent: Arc<Counter>,
-    frames_sent: Arc<Counter>,
-    bytes_sent: Arc<Counter>,
     env_recv: Arc<Counter>,
     frames_recv: Arc<Counter>,
     bytes_recv: Arc<Counter>,
-    frames_local: Arc<Counter>,
-    frames_delivered: Arc<Counter>,
-    frames_dropped: Arc<Counter>,
-    frames_refused: Arc<Counter>,
     /// Requests refused (or calls aborted) because the query's deadline
     /// budget was exhausted.
     deadline_expired: Arc<Counter>,
@@ -128,16 +122,9 @@ struct NetMetrics {
 impl NetMetrics {
     fn new(obs: &MachineScope) -> Self {
         NetMetrics {
-            env_sent: obs.counter("net.env.sent"),
-            frames_sent: obs.counter("net.frames.sent"),
-            bytes_sent: obs.counter("net.bytes.sent"),
             env_recv: obs.counter("net.env.recv"),
             frames_recv: obs.counter("net.frames.recv"),
             bytes_recv: obs.counter("net.bytes.recv"),
-            frames_local: obs.counter("net.frames.local"),
-            frames_delivered: obs.counter("net.frames.delivered"),
-            frames_dropped: obs.counter("net.frames.dropped"),
-            frames_refused: obs.counter("net.frames.refused"),
             deadline_expired: obs.counter("net.deadline.expired"),
             modeled_tx_us: obs.counter("net.modeled_tx_us"),
             frame_copy_bytes: obs.counter("net.frame_copy_bytes"),
@@ -193,6 +180,7 @@ impl Endpoint {
         chaos: Option<Arc<ChaosState>>,
     ) -> Arc<Self> {
         let metrics = NetMetrics::new(&obs);
+        let stats = NetStats::new(&obs);
         let ep = Arc::new(Endpoint {
             machine,
             router,
@@ -205,14 +193,15 @@ impl Endpoint {
             pack_threshold,
             call_timeout,
             work_tx,
-            stats: NetStats::default(),
+            stats,
             cost,
             obs,
             metrics,
             pool: FramePool::new(),
             chaos,
         });
-        // Liveness probe for the heartbeat monitor.
+        // Liveness probe answered by every endpoint; the recovery agents'
+        // heartbeats send it.
         ep.register(proto::PING, |_src, _p| Some(Vec::new()));
         ep
     }
@@ -485,21 +474,18 @@ impl Endpoint {
         if self.router.is_dead(env.dst) {
             // Refused at the send site: the frames never enter the fabric,
             // so they are ledgered apart from in-flight drops.
-            self.stats.record_refused(frames);
-            self.metrics.frames_refused.add(frames);
+            self.stats.refused_frames.add(frames);
             return Err(NetError::Unreachable(env.dst));
         }
         // Payload bytes entering frames — denominator of the copy ratio.
         self.metrics.frame_payload_bytes.add(env.payload_bytes());
         if env.dst == env.src {
-            self.stats.record_local(frames);
-            self.metrics.frames_local.add(frames);
+            self.stats.local_frames.add(frames);
         } else {
             let bytes = env.wire_bytes();
-            self.stats.record_remote(frames, bytes);
-            self.metrics.env_sent.inc();
-            self.metrics.frames_sent.add(frames);
-            self.metrics.bytes_sent.add(bytes);
+            self.stats.remote_envelopes.inc();
+            self.stats.remote_frames.add(frames);
+            self.stats.remote_bytes.add(bytes);
             self.metrics.env_bytes.record(bytes);
             self.metrics.env_frames.record(frames);
             // Charge the cost model as the transfer happens, so modeled
@@ -535,9 +521,7 @@ impl Endpoint {
             // A dead machine processes nothing, but the frames must still
             // be consumed from the ledger: they entered the fabric and
             // die here, in its inbox.
-            let frames = env.frames.len() as u64;
-            self.stats.record_dropped(frames);
-            self.metrics.frames_dropped.add(frames);
+            self.count_dropped(env.frames.len() as u64);
             return;
         }
         if env.src != self.machine {
@@ -686,13 +670,11 @@ impl Endpoint {
     }
 
     fn count_delivered(&self, frames: u64) {
-        self.stats.record_delivered(frames);
-        self.metrics.frames_delivered.add(frames);
+        self.stats.delivered_frames.add(frames);
     }
 
     fn count_dropped(&self, frames: u64) {
-        self.stats.record_dropped(frames);
-        self.metrics.frames_dropped.add(frames);
+        self.stats.dropped_frames.add(frames);
     }
 
     /// Fail any calls still pending when the fabric shuts down.

@@ -138,7 +138,7 @@ impl Fabric {
         let chaos = cfg
             .faults
             .clone()
-            .map(|plan| ChaosState::start(plan, cfg.machines, Arc::clone(&router), cfg.cost, &obs));
+            .map(|plan| ChaosState::start(plan, cfg.machines, Arc::clone(&router), &obs));
         let mut endpoints = Vec::with_capacity(cfg.machines);
         let mut handles = Vec::new();
         for (m, inbox_rx) in inbox_rxs.into_iter().enumerate() {
@@ -220,7 +220,7 @@ impl Fabric {
 
     /// Revive a killed machine (its state is whatever it held at death;
     /// Trinity's recovery instead reloads trunks from TFS onto survivors,
-    /// but revival is useful for heartbeat tests).
+    /// but revival is useful for chaos revive events and tests).
     pub fn revive(&self, m: MachineId) {
         self.router.set_dead(m, false);
     }
@@ -572,9 +572,6 @@ mod tests {
         }
         let s = a.stats().snapshot();
         let snap = fabric.obs().scope(0).snapshot();
-        assert_eq!(snap.counters["net.env.sent"], s.remote_envelopes);
-        assert_eq!(snap.counters["net.frames.sent"], s.remote_frames);
-        assert_eq!(snap.counters["net.bytes.sent"], s.remote_bytes);
         assert_eq!(snap.hists["net.env.bytes"].count, s.remote_envelopes);
         assert_eq!(snap.hists["net.call.us"].count, 5);
         assert!(

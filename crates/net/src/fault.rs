@@ -2,9 +2,9 @@
 //! substrate).
 //!
 //! A [`FaultPlan`] describes how the interconnect should misbehave: drop,
-//! delay, duplicate, or reorder envelopes on individual links, partition
-//! pairs of machines asymmetrically, and crash/revive whole machines on a
-//! schedule keyed on envelope count, modeled wire time, or workload marks.
+//! delay, or duplicate envelopes on individual links, partition pairs of
+//! machines asymmetrically, and crash/revive whole machines on a schedule
+//! keyed on envelope count or workload marks.
 //! The plan is *seeded*: every per-envelope decision is a pure function of
 //! `(seed, src, dst, link sequence number)`, so the same plan applied to
 //! the same traffic injects the same faults — the property the chaos
@@ -36,7 +36,6 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use trinity_obs::{Counter, Registry};
 
-use crate::cost::CostModel;
 use crate::deadline::deadline_now_us;
 use crate::envelope::Envelope;
 use crate::fabric::Router;
@@ -47,8 +46,6 @@ use crate::MachineId;
 pub enum Trigger {
     /// After the fabric has transmitted this many remote envelopes.
     Envelopes(u64),
-    /// After the cost model has charged this much modeled wire time.
-    ModeledUs(u64),
     /// When the workload calls [`crate::Fabric::chaos_mark`] with this
     /// value (checkpoint boundaries, superstep fences, phase changes).
     Mark(u64),
@@ -72,17 +69,6 @@ pub struct DelayPolicy {
     pub base_us: u64,
     /// Seeded uniform jitter in `[0, jitter_us]` added to the base.
     pub jitter_us: u64,
-}
-
-/// Per-envelope bounded-reordering policy: a selected envelope is held
-/// until the *next* envelope on the same link passes it (or `hold_us`
-/// elapses), swapping adjacent deliveries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReorderPolicy {
-    /// Probability an envelope is held for reordering.
-    pub prob: f64,
-    /// Maximum hold before the envelope is released anyway.
-    pub hold_us: u64,
 }
 
 /// An asymmetric one-way partition of a single link: envelopes from
@@ -117,8 +103,6 @@ pub struct FaultPlan {
     pub delay: DelayPolicy,
     /// Probability an envelope is duplicated (delivered twice).
     pub duplicate: f64,
-    /// Bounded reordering policy.
-    pub reorder: ReorderPolicy,
     /// Link partition windows.
     pub partitions: Vec<Partition>,
     /// Crash/revive schedule.
@@ -140,10 +124,6 @@ impl FaultPlan {
                 jitter_us: 0,
             },
             duplicate: 0.0,
-            reorder: ReorderPolicy {
-                prob: 0.0,
-                hold_us: 2_000,
-            },
             partitions: Vec::new(),
             schedule: Vec::new(),
             replay: None,
@@ -176,13 +156,6 @@ impl FaultPlan {
     /// Duplicate each envelope with probability `p`.
     pub fn with_duplicate(mut self, p: f64) -> Self {
         self.duplicate = p;
-        self
-    }
-
-    /// Hold envelopes with probability `prob` (released when the next
-    /// envelope on the link passes, or after `hold_us`).
-    pub fn with_reorder(mut self, prob: f64, hold_us: u64) -> Self {
-        self.reorder = ReorderPolicy { prob, hold_us };
         self
     }
 
@@ -224,7 +197,6 @@ impl FaultPlan {
         self.drop == 0.0
             && self.delay.prob == 0.0
             && self.duplicate == 0.0
-            && self.reorder.prob == 0.0
             && self.partitions.is_empty()
             && self.schedule.is_empty()
             && self.replay.is_none()
@@ -240,8 +212,6 @@ pub enum FaultKind {
     Delay(u64),
     /// Envelope delivered twice.
     Duplicate,
-    /// Envelope held so its successor passes it.
-    Reorder,
     /// Envelope swallowed by a partition window.
     Partition,
     /// Machine killed by the schedule (trigger recorded for replay).
@@ -311,7 +281,6 @@ impl FaultLog {
                 FaultKind::Drop => format!("drop {} {} {}", r.src, r.dst, r.seq),
                 FaultKind::Delay(us) => format!("delay {} {} {} {us}", r.src, r.dst, r.seq),
                 FaultKind::Duplicate => format!("dup {} {} {}", r.src, r.dst, r.seq),
-                FaultKind::Reorder => format!("reorder {} {} {}", r.src, r.dst, r.seq),
                 FaultKind::Partition => format!("part {} {} {}", r.src, r.dst, r.seq),
                 FaultKind::Crash(t) => format!("crash {} {} {}", r.src, r.seq, encode_trigger(t)),
                 FaultKind::Revive(t) => format!("revive {} {} {}", r.src, r.seq, encode_trigger(t)),
@@ -334,14 +303,13 @@ impl FaultLog {
             let mut it = line.split_whitespace();
             let tag = it.next()?;
             let rec = match tag {
-                "drop" | "dup" | "reorder" | "part" => {
+                "drop" | "dup" | "part" => {
                     let src: u16 = it.next()?.parse().ok()?;
                     let dst: u16 = it.next()?.parse().ok()?;
                     let seq: u64 = it.next()?.parse().ok()?;
                     let kind = match tag {
                         "drop" => FaultKind::Drop,
                         "dup" => FaultKind::Duplicate,
-                        "reorder" => FaultKind::Reorder,
                         _ => FaultKind::Partition,
                     };
                     FaultRecord {
@@ -394,17 +362,15 @@ fn kind_rank(k: &FaultKind) -> u8 {
         FaultKind::Drop => 0,
         FaultKind::Delay(_) => 1,
         FaultKind::Duplicate => 2,
-        FaultKind::Reorder => 3,
-        FaultKind::Partition => 4,
-        FaultKind::Crash(_) => 5,
-        FaultKind::Revive(_) => 6,
+        FaultKind::Partition => 3,
+        FaultKind::Crash(_) => 4,
+        FaultKind::Revive(_) => 5,
     }
 }
 
 fn encode_trigger(t: Trigger) -> String {
     match t {
         Trigger::Envelopes(n) => format!("env {n}"),
-        Trigger::ModeledUs(n) => format!("us {n}"),
         Trigger::Mark(n) => format!("mark {n}"),
     }
 }
@@ -413,7 +379,6 @@ fn decode_trigger(tag: &str, val: &str) -> Option<Trigger> {
     let n: u64 = val.parse().ok()?;
     match tag {
         "env" => Some(Trigger::Envelopes(n)),
-        "us" => Some(Trigger::ModeledUs(n)),
         "mark" => Some(Trigger::Mark(n)),
         _ => None,
     }
@@ -425,7 +390,7 @@ fn decode_trigger(tag: &str, val: &str) -> Option<Trigger> {
 
 /// xorshift64* over a mixed key: every decision is a pure function of the
 /// plan seed and the envelope's link coordinates, so replays and reruns
-/// agree (same idiom as the heartbeat jitter PRNG).
+/// agree.
 fn link_rand(seed: u64, src: u16, dst: u16, seq: u64, salt: u64) -> u64 {
     // Multiplicative diffusion first: the `| 1` nonzero guard must not
     // erase low-bit differences between nearby seeds.
@@ -455,7 +420,6 @@ enum Action {
     Swallow(FaultKind),
     Delay(u64),
     Duplicate,
-    Hold,
 }
 
 #[derive(Default)]
@@ -471,25 +435,19 @@ struct LinkState {
     /// item whose due time has passed but which the timer thread has not
     /// fired yet.
     in_timer: u64,
-    /// An envelope held for reordering, waiting for a successor to pass
-    /// it. `None` inside the slot means the timer already released it.
-    held: Option<Arc<Mutex<Option<Envelope>>>>,
 }
 
 /// A link's state shared between `transmit` and the timer thread.
 type SharedLink = Arc<Mutex<LinkState>>;
 
+/// A delayed envelope: delivered at `due_us`, then its link's in-timer
+/// count is decremented.
 struct TimedItem {
     due_us: u64,
     /// Tie-break so equal due times deliver in schedule order.
     order: u64,
-    what: Timed,
-}
-
-enum Timed {
-    /// Deliver the envelope and decrement its link's in-timer count.
-    Deliver(Envelope, SharedLink),
-    Release(Arc<Mutex<Option<Envelope>>>),
+    env: Envelope,
+    link: SharedLink,
 }
 
 impl PartialEq for TimedItem {
@@ -532,7 +490,6 @@ struct ChaosMetrics {
     drops: Arc<Counter>,
     delays: Arc<Counter>,
     dups: Arc<Counter>,
-    reorders: Arc<Counter>,
     partition_drops: Arc<Counter>,
 }
 
@@ -544,19 +501,17 @@ pub struct ChaosState {
     /// `(src, dst, seq)` → fault, when replaying a recorded log.
     replay_map: Option<HashMap<(u16, u16, u64), FaultKind>>,
     router: Arc<Router>,
-    cost: CostModel,
     links: Mutex<HashMap<(u16, u16), SharedLink>>,
     log: Mutex<Vec<FaultRecord>>,
     schedule: Vec<ScheduledEvent>,
     sent_envelopes: AtomicU64,
-    modeled_us: AtomicU64,
     /// Frames swallowed by drop/partition decisions (they left the
     /// sender's counters but never reach a receiver).
     swallowed_frames: AtomicU64,
     /// Extra frames created by duplication (they reach a receiver without
     /// a matching sender-side count).
     dup_frames: AtomicU64,
-    /// Envelopes currently parked in the timer or a reorder slot.
+    /// Envelopes currently parked in the timer.
     pending: AtomicU64,
     /// While disarmed the injector is fully transparent: envelopes pass
     /// through untouched, uncounted, and unlogged. Workloads disarm
@@ -589,7 +544,6 @@ impl ChaosState {
         plan: FaultPlan,
         machines: usize,
         router: Arc<Router>,
-        cost: CostModel,
         obs: &Arc<Registry>,
     ) -> Arc<Self> {
         let replay_map = plan.replay.as_ref().map(|log| {
@@ -617,7 +571,6 @@ impl ChaosState {
                     drops: scope.counter("chaos.drops"),
                     delays: scope.counter("chaos.delays"),
                     dups: scope.counter("chaos.dups"),
-                    reorders: scope.counter("chaos.reorders"),
                     partition_drops: scope.counter("chaos.partition_drops"),
                 }
             })
@@ -627,12 +580,10 @@ impl ChaosState {
             plan,
             replay_map,
             router,
-            cost,
             links: Mutex::new(HashMap::new()),
             log: Mutex::new(Vec::new()),
             schedule,
             sent_envelopes: AtomicU64::new(0),
-            modeled_us: AtomicU64::new(0),
             swallowed_frames: AtomicU64::new(0),
             dup_frames: AtomicU64::new(0),
             pending: AtomicU64::new(0),
@@ -671,7 +622,7 @@ impl ChaosState {
         }
     }
 
-    /// Envelopes currently held back by delays or reorder slots.
+    /// Envelopes currently held back by delays.
     pub fn pending(&self) -> u64 {
         self.pending.load(Ordering::Acquire)
     }
@@ -708,8 +659,8 @@ impl ChaosState {
     }
 
     /// Block until no envelopes are parked in the injector (all delays
-    /// elapsed, all held envelopes released), or `timeout` passes.
-    /// Returns whether the injector quiesced.
+    /// elapsed), or `timeout` passes. Returns whether the injector
+    /// quiesced.
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         while self.pending() > 0 {
@@ -729,9 +680,7 @@ impl ChaosState {
             return self.router.deliver(env);
         }
         let n = self.sent_envelopes.fetch_add(1, Ordering::Relaxed) + 1;
-        let wire_us = (self.cost.seconds(1, env.wire_bytes()) * 1e6) as u64;
-        let m = self.modeled_us.fetch_add(wire_us, Ordering::Relaxed) + wire_us;
-        self.check_schedule(n, m);
+        self.check_schedule(n);
 
         let key = (env.src.0, env.dst.0);
         let link_arc = {
@@ -746,7 +695,7 @@ impl ChaosState {
         link.seq += 1;
         let frames = env.frames.len() as u64;
         let now = deadline_now_us();
-        let action = self.decide(key.0, key.1, seq, now, &link);
+        let action = self.decide(key.0, key.1, seq);
 
         match action {
             Action::Swallow(kind) => {
@@ -762,15 +711,6 @@ impl ChaosState {
                 // silence, never like an error at the send site.
                 Ok(())
             }
-            Action::Hold => {
-                self.record(key.0, key.1, seq, FaultKind::Reorder);
-                self.metrics[key.0 as usize].reorders.inc();
-                let slot = Arc::new(Mutex::new(Some(env)));
-                link.held = Some(Arc::clone(&slot));
-                self.pending.fetch_add(1, Ordering::AcqRel);
-                self.schedule_timed(now + self.plan.reorder.hold_us, Timed::Release(slot));
-                Ok(())
-            }
             Action::Delay(us) => {
                 self.record(key.0, key.1, seq, FaultKind::Delay(us));
                 self.metrics[key.0 as usize].delays.inc();
@@ -778,10 +718,7 @@ impl ChaosState {
                 link.barrier_us = due;
                 link.in_timer += 1;
                 self.pending.fetch_add(1, Ordering::AcqRel);
-                self.schedule_timed(due, Timed::Deliver(env, Arc::clone(&link_arc)));
-                // The swap completes behind the successor: held envelopes
-                // are always released *after* the current one.
-                self.release_held(&mut link, &link_arc, Some(due));
+                self.schedule_timed(due, env, &link_arc);
                 Ok(())
             }
             Action::Duplicate => {
@@ -796,14 +733,12 @@ impl ChaosState {
                     let due = link.barrier_us.max(now);
                     link.in_timer += 2;
                     self.pending.fetch_add(2, Ordering::AcqRel);
-                    self.schedule_timed(due, Timed::Deliver(env, Arc::clone(&link_arc)));
-                    self.schedule_timed(due, Timed::Deliver(copy, Arc::clone(&link_arc)));
-                    self.release_held(&mut link, &link_arc, Some(due));
+                    self.schedule_timed(due, env, &link_arc);
+                    self.schedule_timed(due, copy, &link_arc);
                     Ok(())
                 } else {
                     let r = self.router.deliver(env);
                     let _ = self.router.deliver(copy);
-                    self.release_held(&mut link, &link_arc, None);
                     r
                 }
             }
@@ -813,36 +748,24 @@ impl ChaosState {
                     let due = link.barrier_us.max(now);
                     link.in_timer += 1;
                     self.pending.fetch_add(1, Ordering::AcqRel);
-                    self.schedule_timed(due, Timed::Deliver(env, Arc::clone(&link_arc)));
-                    self.release_held(&mut link, &link_arc, Some(due));
+                    self.schedule_timed(due, env, &link_arc);
                     Ok(())
                 } else {
-                    let r = self.router.deliver(env);
-                    self.release_held(&mut link, &link_arc, None);
-                    r
+                    self.router.deliver(env)
                 }
             }
         }
     }
 
-    /// Decide an envelope's fate. Pure in `(seed, src, dst, seq)` except
-    /// for reordering, which only arms when the link has no active delay
-    /// barrier and no envelope already held (deterministic whenever the
-    /// reorder policy runs without a delay policy).
-    fn decide(&self, src: u16, dst: u16, seq: u64, now: u64, link: &LinkState) -> Action {
+    /// Decide an envelope's fate: a pure function of
+    /// `(seed, src, dst, seq)`.
+    fn decide(&self, src: u16, dst: u16, seq: u64) -> Action {
         if let Some(map) = &self.replay_map {
             return match map.get(&(src, dst, seq)) {
                 Some(FaultKind::Drop) => Action::Swallow(FaultKind::Drop),
                 Some(FaultKind::Partition) => Action::Swallow(FaultKind::Partition),
                 Some(FaultKind::Delay(us)) => Action::Delay(*us),
                 Some(FaultKind::Duplicate) => Action::Duplicate,
-                Some(FaultKind::Reorder) => {
-                    if link.barrier_us <= now && link.held.is_none() {
-                        Action::Hold
-                    } else {
-                        Action::Deliver
-                    }
-                }
                 _ => Action::Deliver,
             };
         }
@@ -855,13 +778,8 @@ impl ChaosState {
         if p.drop > 0.0 && unit(link_rand(p.seed, src, dst, seq, 1)) < p.drop {
             return Action::Swallow(FaultKind::Drop);
         }
-        if p.reorder.prob > 0.0
-            && unit(link_rand(p.seed, src, dst, seq, 2)) < p.reorder.prob
-            && link.barrier_us <= now
-            && link.held.is_none()
-        {
-            return Action::Hold;
-        }
+        // Each fault kind draws with its own fixed salt (2 is unused), so
+        // pinned seeds keep injecting the same faults.
         if p.duplicate > 0.0 && unit(link_rand(p.seed, src, dst, seq, 3)) < p.duplicate {
             return Action::Duplicate;
         }
@@ -876,25 +794,6 @@ impl ChaosState {
         Action::Deliver
     }
 
-    /// Release a reorder-held envelope *behind* the current one: the swap
-    /// is complete the moment its successor is delivered or scheduled.
-    fn release_held(&self, link: &mut LinkState, link_arc: &SharedLink, after_due: Option<u64>) {
-        if let Some(slot) = link.held.take() {
-            if let Some(held) = slot.lock().take() {
-                match after_due {
-                    Some(due) => {
-                        link.in_timer += 1;
-                        self.schedule_timed(due, Timed::Deliver(held, Arc::clone(link_arc)));
-                    }
-                    None => {
-                        let _ = self.router.deliver(held);
-                        self.pending.fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-            }
-        }
-    }
-
     fn record(&self, src: u16, dst: u16, seq: u64, kind: FaultKind) {
         self.registry
             .flight_event(format!("fault {kind:?} link {src}->{dst} seq {seq}"));
@@ -906,14 +805,9 @@ impl ChaosState {
         });
     }
 
-    fn check_schedule(&self, envelopes: u64, modeled_us: u64) {
+    fn check_schedule(&self, envelopes: u64) {
         for ev in &self.schedule {
-            let due = match ev.trigger {
-                Trigger::Envelopes(n) => envelopes >= n,
-                Trigger::ModeledUs(n) => modeled_us >= n,
-                Trigger::Mark(_) => false,
-            };
-            if due {
+            if matches!(ev.trigger, Trigger::Envelopes(n) if envelopes >= n) {
                 self.fire_event(ev);
             }
         }
@@ -938,13 +832,14 @@ impl ChaosState {
         self.record(m, m, ev.index, kind);
     }
 
-    fn schedule_timed(&self, due_us: u64, what: Timed) {
+    fn schedule_timed(&self, due_us: u64, env: Envelope, link: &SharedLink) {
+        let link = Arc::clone(link);
         let mut q = self.timer.lock();
         if q.stopped {
             // Late arrival during shutdown: deliver inline so nothing
             // leaks.
             drop(q);
-            self.fire_timed(what);
+            self.fire_timed(env, link);
             return;
         }
         let order = q.next_order;
@@ -952,29 +847,20 @@ impl ChaosState {
         q.heap.push(TimedItem {
             due_us,
             order,
-            what,
+            env,
+            link,
         });
         drop(q);
         self.timer_cv.notify_all();
     }
 
-    fn fire_timed(&self, what: Timed) {
-        match what {
-            Timed::Deliver(env, link) => {
-                // Deliver before decrementing: once in_timer drops, a
-                // concurrent sender may deliver inline, and the inbox
-                // must already hold this envelope for FIFO to hold.
-                let _ = self.router.deliver(env);
-                link.lock().in_timer -= 1;
-                self.pending.fetch_sub(1, Ordering::AcqRel);
-            }
-            Timed::Release(slot) => {
-                if let Some(env) = slot.lock().take() {
-                    let _ = self.router.deliver(env);
-                    self.pending.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-        }
+    fn fire_timed(&self, env: Envelope, link: SharedLink) {
+        // Deliver before decrementing: once in_timer drops, a concurrent
+        // sender may deliver inline, and the inbox must already hold this
+        // envelope for FIFO to hold.
+        let _ = self.router.deliver(env);
+        link.lock().in_timer -= 1;
+        self.pending.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Stop the timer thread, delivering everything still parked. Called
@@ -995,7 +881,7 @@ impl ChaosState {
         // into_sorted_vec sorts ascending by Ord; our Ord is reversed
         // (min-heap), so iterate in reverse for due-time order.
         for item in drained.into_iter().rev() {
-            self.fire_timed(item.what);
+            self.fire_timed(item.env, item.link);
         }
     }
 }
@@ -1014,7 +900,7 @@ fn timer_loop(state: Arc<ChaosState>) {
         if !due.is_empty() {
             drop(q);
             for item in due {
-                state.fire_timed(item.what);
+                state.fire_timed(item.env, item.link);
             }
             continue;
         }
@@ -1050,7 +936,6 @@ mod tests {
                 rec(1, 1, 0, FaultKind::Crash(Trigger::Mark(4))),
                 rec(0, 2, 7, FaultKind::Duplicate),
                 rec(1, 1, 1, FaultKind::Revive(Trigger::Envelopes(120))),
-                rec(3, 0, 2, FaultKind::Reorder),
                 rec(0, 3, 11, FaultKind::Partition),
             ],
         };

@@ -6,18 +6,29 @@
 //! [`crate::CostModel`] prices them. Machine-local frames (src == dst) are
 //! tracked separately and never priced.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Monotonic traffic counters for one endpoint.
-#[derive(Debug, Default)]
+use trinity_obs::{Counter, MachineScope};
+
+/// Monotonic traffic counters for one endpoint: handles onto the
+/// machine's `net.*` registry counters, so the typed view and the
+/// exported metrics are one ledger, not two copies of it.
+#[derive(Debug)]
 pub struct NetStats {
-    pub(crate) remote_envelopes: AtomicU64,
-    pub(crate) remote_frames: AtomicU64,
-    pub(crate) remote_bytes: AtomicU64,
-    pub(crate) local_frames: AtomicU64,
-    pub(crate) delivered_frames: AtomicU64,
-    pub(crate) dropped_frames: AtomicU64,
-    pub(crate) refused_frames: AtomicU64,
+    /// `net.env.sent`
+    pub(crate) remote_envelopes: Arc<Counter>,
+    /// `net.frames.sent`
+    pub(crate) remote_frames: Arc<Counter>,
+    /// `net.bytes.sent`
+    pub(crate) remote_bytes: Arc<Counter>,
+    /// `net.frames.local`
+    pub(crate) local_frames: Arc<Counter>,
+    /// `net.frames.delivered`
+    pub(crate) delivered_frames: Arc<Counter>,
+    /// `net.frames.dropped`
+    pub(crate) dropped_frames: Arc<Counter>,
+    /// `net.frames.refused`
+    pub(crate) refused_frames: Arc<Counter>,
 }
 
 /// A point-in-time copy of [`NetStats`], or a difference of two snapshots.
@@ -45,49 +56,43 @@ pub struct StatsDelta {
 }
 
 impl NetStats {
-    /// Snapshot the counters.
-    pub fn snapshot(&self) -> StatsDelta {
-        StatsDelta {
-            remote_envelopes: self.remote_envelopes.load(Ordering::Relaxed),
-            remote_frames: self.remote_frames.load(Ordering::Relaxed),
-            remote_bytes: self.remote_bytes.load(Ordering::Relaxed),
-            local_frames: self.local_frames.load(Ordering::Relaxed),
-            delivered_frames: self.delivered_frames.load(Ordering::Relaxed),
-            dropped_frames: self.dropped_frames.load(Ordering::Relaxed),
-            refused_frames: self.refused_frames.load(Ordering::Relaxed),
+    /// Resolve the traffic counters in a machine's scope.
+    pub(crate) fn new(obs: &MachineScope) -> Self {
+        NetStats {
+            remote_envelopes: obs.counter("net.env.sent"),
+            remote_frames: obs.counter("net.frames.sent"),
+            remote_bytes: obs.counter("net.bytes.sent"),
+            local_frames: obs.counter("net.frames.local"),
+            delivered_frames: obs.counter("net.frames.delivered"),
+            dropped_frames: obs.counter("net.frames.dropped"),
+            refused_frames: obs.counter("net.frames.refused"),
         }
     }
 
-    pub(crate) fn record_remote(&self, frames: u64, bytes: u64) {
-        self.remote_envelopes.fetch_add(1, Ordering::Relaxed);
-        self.remote_frames.fetch_add(frames, Ordering::Relaxed);
-        self.remote_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_local(&self, frames: u64) {
-        self.local_frames.fetch_add(frames, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_delivered(&self, frames: u64) {
-        self.delivered_frames.fetch_add(frames, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_dropped(&self, frames: u64) {
-        self.dropped_frames.fetch_add(frames, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_refused(&self, frames: u64) {
-        self.refused_frames.fetch_add(frames, Ordering::Relaxed);
+    /// Snapshot the counters.
+    pub fn snapshot(&self) -> StatsDelta {
+        StatsDelta {
+            remote_envelopes: self.remote_envelopes.get(),
+            remote_frames: self.remote_frames.get(),
+            remote_bytes: self.remote_bytes.get(),
+            local_frames: self.local_frames.get(),
+            delivered_frames: self.delivered_frames.get(),
+            dropped_frames: self.dropped_frames.get(),
+            refused_frames: self.refused_frames.get(),
+        }
     }
 
     /// Traffic since a previous snapshot — the idiom every measurement
     /// window uses:
     ///
     /// ```
-    /// # let stats = trinity_net::NetStats::default();
+    /// # let fabric = trinity_net::Fabric::new(trinity_net::FabricConfig::with_machines(1));
+    /// # let ep = fabric.endpoint(trinity_net::MachineId(0));
+    /// # let stats = ep.stats();
     /// let before = stats.snapshot();
     /// // ... traffic ...
     /// let window = stats.delta(&before);
+    /// # fabric.shutdown();
     /// ```
     pub fn delta(&self, prev: &StatsDelta) -> StatsDelta {
         self.snapshot() - *prev
@@ -189,14 +194,21 @@ impl std::ops::Sub for StatsDelta {
 mod tests {
     use super::*;
 
+    /// Stand-in for the endpoint's transmit path: one remote envelope.
+    fn remote(s: &NetStats, frames: u64, bytes: u64) {
+        s.remote_envelopes.inc();
+        s.remote_frames.add(frames);
+        s.remote_bytes.add(bytes);
+    }
+
     #[test]
     fn snapshot_and_delta() {
-        let s = NetStats::default();
-        s.record_remote(10, 1000);
-        s.record_local(5);
+        let s = NetStats::new(&MachineScope::detached());
+        remote(&s, 10, 1000);
+        s.local_frames.add(5);
         let a = s.snapshot();
-        s.record_remote(10, 500);
-        s.record_dropped(2);
+        remote(&s, 10, 500);
+        s.dropped_frames.add(2);
         let b = s.snapshot();
         let d = a.delta_to(&b);
         assert_eq!(d.remote_envelopes, 1);
@@ -225,11 +237,11 @@ mod tests {
 
     #[test]
     fn delta_helper_and_operators_agree() {
-        let s = NetStats::default();
-        s.record_remote(4, 400);
+        let s = NetStats::new(&MachineScope::detached());
+        remote(&s, 4, 400);
         let before = s.snapshot();
-        s.record_remote(6, 600);
-        s.record_local(3);
+        remote(&s, 6, 600);
+        s.local_frames.add(3);
         let d = s.delta(&before);
         assert_eq!(d, before.delta_to(&s.snapshot()));
         assert_eq!(d.remote_envelopes, 1);

@@ -9,8 +9,10 @@
 //! stuck behind analytical scans.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
+use trinity_obs::Gauge;
 
 /// Priority class of a query. Lower value drains first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -48,17 +50,27 @@ struct Inner<T> {
     closed: bool,
 }
 
+impl<T> Inner<T> {
+    fn total_depth(&self) -> usize {
+        self.queues.iter().map(VecDeque::len).sum()
+    }
+}
+
 /// A bounded multi-class MPMC queue: `try_push` sheds at capacity,
 /// `pop` blocks and drains by priority.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
     capacity: [usize; 4],
+    /// Total depth across classes, set from the queue's own length under
+    /// the queue lock on every push and pop, so it can never go negative.
+    depth_gauge: Arc<Gauge>,
 }
 
 impl<T> BoundedQueue<T> {
-    /// A queue bounded at `capacity` entries per class.
-    pub fn new(capacity: [usize; 4]) -> Self {
+    /// A queue bounded at `capacity` entries per class, publishing its
+    /// total depth to `depth_gauge`.
+    pub fn new(capacity: [usize; 4], depth_gauge: Arc<Gauge>) -> Self {
         BoundedQueue {
             inner: Mutex::new(Inner {
                 queues: [
@@ -71,6 +83,7 @@ impl<T> BoundedQueue<T> {
             }),
             not_empty: Condvar::new(),
             capacity,
+            depth_gauge,
         }
     }
 
@@ -86,7 +99,7 @@ impl<T> BoundedQueue<T> {
 
     /// Total queued entries across classes.
     pub fn total_depth(&self) -> usize {
-        self.inner.lock().queues.iter().map(VecDeque::len).sum()
+        self.inner.lock().total_depth()
     }
 
     /// Admit `item` into `class`'s queue, or shed it. On rejection the
@@ -104,6 +117,7 @@ impl<T> BoundedQueue<T> {
             return Err((item, depth));
         }
         q.push_back(item);
+        self.depth_gauge.set(inner.total_depth() as i64);
         drop(inner);
         self.not_empty.notify_one();
         Ok(depth + 1)
@@ -114,10 +128,9 @@ impl<T> BoundedQueue<T> {
     pub fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock();
         loop {
-            for q in inner.queues.iter_mut() {
-                if let Some(item) = q.pop_front() {
-                    return Some(item);
-                }
+            if let Some(item) = inner.queues.iter_mut().find_map(VecDeque::pop_front) {
+                self.depth_gauge.set(inner.total_depth() as i64);
+                return Some(item);
             }
             if inner.closed {
                 return None;
@@ -141,11 +154,14 @@ impl<T> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+
+    fn queue<T>(cap: usize) -> BoundedQueue<T> {
+        BoundedQueue::new([cap; 4], Arc::new(Gauge::new()))
+    }
 
     #[test]
     fn sheds_at_capacity() {
-        let q = BoundedQueue::new([2, 2, 2, 2]);
+        let q = queue(2);
         assert_eq!(q.try_push(Priority::Normal, 1), Ok(1));
         assert_eq!(q.try_push(Priority::Normal, 2), Ok(2));
         assert_eq!(q.try_push(Priority::Normal, 3), Err((3, 2)));
@@ -154,8 +170,31 @@ mod tests {
     }
 
     #[test]
+    fn depth_gauge_tracks_total_depth_across_pushes_and_pops() {
+        let gauge = Arc::new(Gauge::new());
+        let q = BoundedQueue::new([2, 2, 2, 2], Arc::clone(&gauge));
+        let check = |q: &BoundedQueue<u32>| assert_eq!(gauge.get(), q.total_depth() as i64);
+        q.try_push(Priority::Normal, 1).unwrap();
+        check(&q);
+        q.try_push(Priority::Batch, 2).unwrap();
+        q.try_push(Priority::Interactive, 3).unwrap();
+        check(&q);
+        assert_eq!(gauge.get(), 3);
+        // A shed push leaves the depth alone.
+        q.try_push(Priority::Normal, 4).unwrap();
+        assert!(q.try_push(Priority::Normal, 5).is_err());
+        check(&q);
+        assert_eq!(gauge.get(), 4);
+        while q.total_depth() > 0 {
+            q.pop().unwrap();
+            check(&q);
+        }
+        assert_eq!(gauge.get(), 0);
+    }
+
+    #[test]
     fn drains_by_priority() {
-        let q = BoundedQueue::new([4, 4, 4, 4]);
+        let q = queue(4);
         q.try_push(Priority::Batch, 40).unwrap();
         q.try_push(Priority::Mutation, 30).unwrap();
         q.try_push(Priority::Normal, 20).unwrap();
@@ -176,7 +215,7 @@ mod tests {
         // while a slow consumer drains; the observed depth must never
         // exceed the configured capacity.
         const CAP: usize = 8;
-        let q = Arc::new(BoundedQueue::new([CAP, CAP, CAP, CAP]));
+        let q = Arc::new(queue(CAP));
         let max_seen = Arc::new(Mutex::new(0usize));
         let consumer = {
             let q = Arc::clone(&q);

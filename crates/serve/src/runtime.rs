@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use trinity_net::{deadline_now_us, CancelToken, DeadlineGuard, Endpoint, NO_DEADLINE};
-use trinity_obs::{next_trace_id, Counter, Gauge, Histogram, MachineScope, Registry, TraceGuard};
+use trinity_obs::{next_trace_id, Counter, Histogram, MachineScope, Registry, TraceGuard};
 
 use crate::error::ServeError;
 use crate::queue::{BoundedQueue, Priority};
@@ -116,7 +116,6 @@ struct ServeMetrics {
     completed: Arc<Counter>,
     cancelled: Arc<Counter>,
     expired_in_queue: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
     queue_wait_us: Arc<Histogram>,
     latency_us: Arc<Histogram>,
 }
@@ -135,7 +134,6 @@ impl ServeMetrics {
             completed: obs.counter("serve.completed"),
             cancelled: obs.counter("serve.cancelled"),
             expired_in_queue: obs.counter("serve.expired_in_queue"),
-            queue_depth: obs.gauge("serve.queue.depth"),
             queue_wait_us: obs.histogram("serve.queue_wait.us"),
             latency_us: obs.histogram("serve.latency.us"),
         }
@@ -215,7 +213,10 @@ impl ServeRuntime {
         let obs = endpoint.obs().clone();
         let metrics = Arc::new(ServeMetrics::new(&obs));
         let rt = Arc::new(ServeRuntime {
-            queue: Arc::new(BoundedQueue::new(cfg.queue_capacity)),
+            queue: Arc::new(BoundedQueue::new(
+                cfg.queue_capacity,
+                obs.gauge("serve.queue.depth"),
+            )),
             cfg,
             obs,
             metrics,
@@ -340,7 +341,6 @@ impl ServeRuntime {
         match self.queue.try_push(class, entry) {
             Ok(_) => {
                 self.metrics.admitted.inc();
-                self.metrics.queue_depth.add(1);
                 self.consecutive_shed.store(0, Ordering::Relaxed);
                 Ok(Ticket { rx, cancel, trace })
             }
@@ -426,7 +426,6 @@ impl Drop for ServeRuntime {
 
 fn worker_loop(queue: Arc<BoundedQueue<Job>>, metrics: Arc<ServeMetrics>, obs: MachineScope) {
     while let Some(job) = queue.pop() {
-        metrics.queue_depth.sub(1);
         let picked_us = deadline_now_us();
         metrics
             .queue_wait_us
