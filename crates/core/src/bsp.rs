@@ -33,9 +33,11 @@
 //!   the machine (Pregel's combiner).
 //!
 //! Superstep synchronization uses message fences: after computing, each
-//! machine tells every peer how many data frames it sent; a machine
-//! enters the barrier only once it has received every announced frame, so
-//! no message of superstep `s` can leak into superstep `s + 1`.
+//! machine sends every peer a fence behind its data frames. The fabric
+//! runs one-way handlers in per-source order, so a peer's fence is handled
+//! only after every frame that peer sent before it. A machine enters the
+//! barrier once it holds a fence from every peer, so no message of
+//! superstep `s` can leak into superstep `s + 1`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -360,13 +362,6 @@ fn decode_data_frame(data: &[u8]) -> Option<(u32, CellId, &[u8])> {
 // Per-machine runtime
 // ---------------------------------------------------------------------
 
-struct FenceState {
-    /// Per-peer announced frame count for the current superstep.
-    expected: Vec<Option<u64>>,
-    /// Per-peer frames received so far for the current superstep.
-    got: Vec<u64>,
-}
-
 /// Cached `bsp.*` metric handles for one machine's runtime (resolved once
 /// per job; superstep hot paths touch only relaxed atomics).
 struct BspMetrics {
@@ -427,7 +422,9 @@ struct MachineRt<P: VertexProgram> {
     /// `HashMap<CellId, Vec<Msg>>` consumer bottleneck.
     inboxes: Vec<ShardInbox<P::Msg>>,
     local_deliveries: AtomicU64,
-    fence: Mutex<FenceState>,
+    /// Per peer, the number of supersteps it has fenced. A duplicated
+    /// fence cannot count twice.
+    fenced: Mutex<Vec<usize>>,
     fence_cv: Condvar,
     /// Hub subscriber index: remote hub id → per-shard lists of local
     /// vertices that list it as an (in-)neighbor, pre-split so fan-out
@@ -465,28 +462,13 @@ impl<P: VertexProgram> MachineRt<P> {
         self.inboxes[shard].lock().append(buf);
     }
 
-    fn count_frame(&self, src: MachineId) {
-        let mut f = self.fence.lock();
-        f.got[src.0 as usize] += 1;
-        self.fence_cv.notify_all();
-    }
-
-    /// Block until every peer's fence has arrived and every announced
-    /// frame has been received.
-    fn await_quiescence(&self, self_machine: usize) {
-        let mut f = self.fence.lock();
-        loop {
-            let done = (0..self.machines)
-                .all(|p| p == self_machine || matches!(f.expected[p], Some(e) if f.got[p] >= e));
-            if done {
-                // Reset for the next superstep.
-                for p in 0..self.machines {
-                    f.expected[p] = None;
-                    f.got[p] = 0;
-                }
-                return;
-            }
-            self.fence_cv.wait(&mut f);
+    /// Block until every peer has fenced `superstep`. Each fence was
+    /// handled after the data frames its peer sent before it, so the
+    /// superstep's messages are all in the inboxes.
+    fn await_quiescence(&self, self_machine: usize, superstep: usize) {
+        let mut fenced = self.fenced.lock();
+        while (0..self.machines).any(|p| p != self_machine && fenced[p] <= superstep) {
+            self.fence_cv.wait(&mut fenced);
         }
     }
 }
@@ -572,10 +554,7 @@ impl<P: VertexProgram> BspRunner<P> {
                     table,
                     inboxes: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
                     local_deliveries: AtomicU64::new(0),
-                    fence: Mutex::new(FenceState {
-                        expected: vec![None; machines],
-                        got: vec![0; machines],
-                    }),
+                    fenced: Mutex::new(vec![0; machines]),
                     fence_cv: Condvar::new(),
                     subs: Mutex::new(HashMap::new()),
                 })
@@ -587,27 +566,19 @@ impl<P: VertexProgram> BspRunner<P> {
             // Vertex data messages.
             {
                 let rt = Arc::clone(rt);
-                endpoint.register(proto::BSP_MSG, move |src, data| {
+                endpoint.register(proto::BSP_MSG, move |_src, data| {
                     if let Some((_s, dst, bytes)) = decode_data_frame(data) {
                         if let Some(msg) = P::decode_msg(bytes) {
                             rt.deliver(dst, msg);
                         }
                     }
-                    rt.count_frame(src);
                     None
                 });
             }
             // Hub broadcasts: fan out through the subscriber index.
             {
                 let rt = Arc::clone(rt);
-                endpoint.register(proto::BSP_HUB, move |src, data| {
-                    // On a lapsed deadline the fan-out is skipped but the
-                    // frame is still counted: fences must balance or the
-                    // superstep would hang instead of finishing early.
-                    if deadline_expired() {
-                        rt.count_frame(src);
-                        return None;
-                    }
+                endpoint.register(proto::BSP_HUB, move |_src, data| {
                     if let Some((_s, hub, bytes)) = decode_data_frame(data) {
                         if let Some(msg) = P::decode_msg(bytes) {
                             let subs = rt.subs.lock();
@@ -635,7 +606,6 @@ impl<P: VertexProgram> BspRunner<P> {
                             }
                         }
                     }
-                    rt.count_frame(src);
                     None
                 });
             }
@@ -643,10 +613,11 @@ impl<P: VertexProgram> BspRunner<P> {
             {
                 let rt = Arc::clone(rt);
                 endpoint.register(proto::BSP_FENCE, move |src, data| {
-                    if data.len() >= 12 {
-                        let count = u64::from_le_bytes(data[4..12].try_into().unwrap());
-                        let mut f = rt.fence.lock();
-                        f.expected[src.0 as usize] = Some(count);
+                    if let Some(step) = data.get(..4) {
+                        let step = u32::from_le_bytes(step.try_into().unwrap()) as usize;
+                        let mut fenced = rt.fenced.lock();
+                        let f = &mut fenced[src.0 as usize];
+                        *f = (*f).max(step + 1);
                         rt.fence_cv.notify_all();
                     }
                     None
@@ -1461,22 +1432,15 @@ fn leader_post_compute<P: VertexProgram>(
     // stopped: after the combine flush, before the fence.
     pool_times.add_serial(timer.elapsed_seconds());
 
-    // Fence: announce per-peer frame counts, flush everything, wait
-    // until all announced frames (from every peer) have arrived.
-    for (peer, &sent) in sent_to.iter().enumerate() {
-        if peer == ctx.m {
-            continue;
-        }
-        let mut fence = Vec::with_capacity(12);
-        fence.extend_from_slice(&(superstep as u32).to_le_bytes());
-        fence.extend_from_slice(&sent.to_le_bytes());
-        ctx.rt
-            .endpoint
-            .send(MachineId(peer as u16), proto::BSP_FENCE, &fence);
-        ctx.rt.endpoint.flush_to(MachineId(peer as u16));
+    // Fence: queue one behind the superstep's data frames to every peer,
+    // flush, and wait until every peer's fence has been handled.
+    let fence = (superstep as u32).to_le_bytes();
+    for peer in (0..ctx.machines).filter(|&p| p != ctx.m) {
+        let peer = MachineId(peer as u16);
+        ctx.rt.endpoint.send(peer, proto::BSP_FENCE, &fence);
+        ctx.rt.endpoint.flush_to(peer);
     }
-    ctx.rt.endpoint.flush();
-    ctx.rt.await_quiescence(ctx.m);
+    ctx.rt.await_quiescence(ctx.m, superstep);
     // After this barrier no machine is still computing superstep `s`, so
     // the workers' inbox drain (next phase) cannot race new deliveries:
     // anything arriving now belongs to `s + 1` and lands after the swap.

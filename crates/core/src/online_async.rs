@@ -14,7 +14,8 @@
 //!
 //! * **owner-side deduplication** — every cell has exactly one owner, so
 //!   each machine's local visited-set globally deduplicates its own
-//!   cells, with no shared state;
+//!   cells, with no shared state. An id that reaches a non-owner (the
+//!   sender's table was stale) is forwarded to its owner, not recorded;
 //! * **monotone depth refinement** — asynchrony can deliver a long path
 //!   before a short one; a node reached again at a *smaller* depth is
 //!   re-expanded with the larger remaining budget, so final depths equal
@@ -244,9 +245,10 @@ impl AsyncExplorer {
 
     /// Process one inbound frontier batch on machine `m`.
     fn handle_batch(&self, m: usize, handle: &GraphHandle, batch: Batch) {
-        let endpoint = self.cloud.node(m).endpoint();
+        let node = self.cloud.node(m);
+        let endpoint = node.endpoint();
         // A lapsed deadline (carried in by the envelope and installed on
-        // this worker by the fabric) prunes the whole subtree: ack the
+        // this thread by the fabric) prunes the whole subtree: ack the
         // parent without expanding, so Dijkstra–Scholten termination still
         // completes — with partial results — instead of burning CPU on a
         // query the client has abandoned. The ack must always flow; only
@@ -260,27 +262,31 @@ impl AsyncExplorer {
             endpoint.flush_to(batch.parent);
             return;
         }
-        let table = self.cloud.node(m).table();
-        // Batches are routed to owners, but the sender's table may be
-        // stale: ids we no longer own fall back to remote reads inside
-        // `with_node`. Batch-warm the read cache so those stragglers cost
-        // one envelope per actual owner instead of one round-trip each.
+        let machines = self.cloud.machines();
         let me = MachineId(m as u16);
-        let stragglers: Vec<CellId> = batch
-            .ids
-            .iter()
-            .copied()
-            .filter(|&id| table.machine_of(id) != me)
-            .collect();
-        if !stragglers.is_empty() {
-            handle.prefetch(&stragglers);
+        // Batches are routed by the sender's table, which may be stale.
+        // Ids this machine does not own go on to their owner under the
+        // primary table, as a child batch at the same depth: this handler
+        // runs on the receiver thread, so it must not read them remotely.
+        let mut table = node.table();
+        if batch.ids.iter().any(|&id| table.machine_of(id) != me) {
+            let _ = node.sync_table();
+            table = node.table();
+        }
+        let mut owned: Vec<CellId> = Vec::with_capacity(batch.ids.len());
+        let mut stragglers: Vec<Vec<CellId>> = vec![Vec::new(); machines];
+        for &id in &batch.ids {
+            match table.machine_of(id) {
+                owner if owner == me => owned.push(id),
+                owner => stragglers[owner.0 as usize].push(id),
+            }
         }
         // Phase 1: local dedup + match + depth refinement.
         let mut fresh: Vec<CellId> = Vec::new();
         {
             let mut queries = self.states[m].queries.lock();
             let local = queries.entry(batch.qid).or_default();
-            for &id in &batch.ids {
+            for &id in &owned {
                 match local.depth.get(&id) {
                     Some(&best) if best <= batch.depth => continue,
                     seen => {
@@ -311,7 +317,6 @@ impl AsyncExplorer {
         // split across a scoped pool, each chunk grouping into private
         // per-owner vectors merged afterwards; the sort + dedup below
         // makes the child batches identical to the serial grouping.
-        let machines = self.cloud.machines();
         let pool = self.workers[m];
         let mut by_machine: Vec<Vec<CellId>> = vec![Vec::new(); machines];
         if pool > 1 && fresh.len() >= PARALLEL_BATCH {
@@ -353,16 +358,23 @@ impl AsyncExplorer {
                 });
             }
         }
-        let children: Vec<(MachineId, Vec<CellId>)> = by_machine
+        // Children as (owner, depth, hops left, ids): forwarded stragglers
+        // keep this batch's depth, expanded neighbors go one hop deeper.
+        let forwarded = stragglers
+            .into_iter()
+            .enumerate()
+            .filter(|(_, ids)| !ids.is_empty())
+            .map(|(owner, ids)| (owner, batch.depth, batch.hops_left, ids));
+        let expanded = by_machine
             .into_iter()
             .enumerate()
             .filter(|(_, b)| !b.is_empty())
             .map(|(owner, mut b)| {
                 b.sort_unstable();
                 b.dedup();
-                (MachineId(owner as u16), b)
-            })
-            .collect();
+                (owner, batch.depth + 1, batch.hops_left - 1, b)
+            });
+        let children: Vec<(usize, u32, u32, Vec<CellId>)> = forwarded.chain(expanded).collect();
         if children.is_empty() {
             // Leaf: ack the parent immediately.
             endpoint.send(
@@ -383,13 +395,14 @@ impl AsyncExplorer {
                 remaining: children.len(),
             },
         );
-        for (owner, ids) in children {
+        for (owner, depth, hops_left, ids) in children {
+            let owner = MachineId(owner as u16);
             let payload = encode_batch(
                 batch.qid,
-                MachineId(m as u16),
+                me,
                 my_batch,
-                batch.depth + 1,
-                batch.hops_left - 1,
+                depth,
+                hops_left,
                 &batch.pattern,
                 &ids,
             );
@@ -613,6 +626,42 @@ mod tests {
         assert_eq!(r.visited(), 1);
         let r = asyn.explore(1, 0, 0, b"");
         assert_eq!(r.visited(), 1);
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn stragglers_are_forwarded_to_their_owner_without_remote_reads() {
+        // The start node's trunk moves from machine `from` to `to`; the
+        // coordinator keeps the old table, so the seed batch reaches a
+        // non-owner, which must forward it instead of reading remotely.
+        let csr = trinity_graphgen::social(300, 8, 4);
+        let (cloud, sync, asyn) = both_explorers(&csr, 3, None);
+        let start = 5u64;
+        let expect = sync.explore(0, start, 3, b"").per_hop;
+        cloud.backup_all().unwrap();
+        let mut table = cloud.node(0).table();
+        let trunk = table.trunk_of(start);
+        let from = table.machine_for(trunk);
+        let to = MachineId((from.0 + 1) % 3);
+        let stale = 3 - from.0 as usize - to.0 as usize;
+        table.reassign_one(trunk, to);
+        cloud
+            .tfs()
+            .write(trinity_memcloud::TFS_TABLE_PATH, &table.encode())
+            .unwrap();
+        cloud
+            .node(to.0 as usize)
+            .install_table(table.clone())
+            .unwrap();
+        cloud.node(from.0 as usize).install_table(table).unwrap();
+        let calls_from = || {
+            let snap = cloud.fabric().obs().scope(from.0).snapshot();
+            snap.hists.get("net.call.us").map_or(0, |h| h.count)
+        };
+        let before = calls_from();
+        let r = asyn.explore(stale, start, 3, b"");
+        assert_eq!(r.per_hop, expect);
+        assert_eq!(calls_from(), before, "the non-owner made remote calls");
         cloud.shutdown();
     }
 

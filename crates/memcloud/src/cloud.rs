@@ -31,7 +31,9 @@ pub struct CloudConfig {
     pub tfs: TfsConfig,
     /// Network cost model for modeled time reporting.
     pub cost: CostModel,
-    /// Handler worker threads per machine.
+    /// Request-handler threads per machine (see
+    /// [`FabricConfig::workers_per_machine`]; one-way handlers run on the
+    /// receiver thread and must never block on the fabric).
     pub workers_per_machine: usize,
     /// Additional fabric endpoints beyond the slaves — Trinity proxies and
     /// clients (paper Figure 1) attach here. They carry no trunks and no

@@ -405,9 +405,10 @@ impl MigrationState {
         old: &AddressingTable,
         new: &AddressingTable,
     ) {
-        self.donors
-            .write()
-            .retain(|&gid, _| new.machine_for(gid) == me);
+        // Donor entries go and moved marks appear under one donor-map
+        // lock, so a write holding `donors_read` sees one or the other.
+        let mut donors = self.donors.write();
+        donors.retain(|&gid, _| new.machine_for(gid) == me);
         let mut moved = self.moved.write();
         for gid in old.trunks_of(me) {
             if new.machine_for(gid) != me {
@@ -416,6 +417,7 @@ impl MigrationState {
         }
         moved.retain(|&gid, _| new.machine_for(gid) != me);
         drop(moved);
+        drop(donors);
         self.incoming
             .lock()
             .retain(|&gid, _| new.machine_for(gid) != me);

@@ -663,6 +663,11 @@ impl CloudNode {
             // lock itself.
             self.resident_trunk(gid)?;
             let donors = self.migration.donors_read();
+            if let Some(epoch) = self.migration.moved_epoch(gid) {
+                // The trunk left this node (see `install_table`) after
+                // the caller's ownership check.
+                return Ok(Gate::Moved { epoch });
+            }
             if self.tiering.blocks(gid) {
                 // A spill (or fault) slipped in between our fault-in and
                 // the lock: back off and take the fault turn again.
@@ -1593,6 +1598,10 @@ impl CloudNode {
                 self.reload_trunk(gid)?;
             }
         }
+        // Mark the lost trunks moved before evicting them: a write that
+        // reaches `gated_mutate` after this point answers MOVED instead
+        // of recreating an empty trunk here and landing in it.
+        self.migration.on_table_installed(self.machine, &old, &new);
         for &gid in old_mine.difference(&new_mine) {
             // Keep an actively staging trunk: a reconfiguration unrelated
             // to the migration must not destroy its streamed cells. A
@@ -1605,7 +1614,6 @@ impl CloudNode {
             }
         }
         let moved: BTreeSet<u64> = old.changed_trunks(&new).into_iter().collect();
-        self.migration.on_table_installed(self.machine, &old, &new);
         *self.table.write() = new;
         // Tier entries for trunks this node no longer owns are dead
         // weight (the new owner reloads from the same TFS image): drop

@@ -9,12 +9,16 @@
 //!   packed per destination and shipped in bulk.
 //!
 //! Two thread roles service an endpoint. A *receiver* thread drains the
-//! machine's inbox: response frames are completed directly (so a response
-//! can never be starved by busy handlers), while request and one-way
-//! frames are queued to a pool of *worker* threads that run the registered
-//! protocol handlers. Handlers are allowed to issue further `call`s and
-//! `send`s — the recursive asynchronous fan-out of the paper's online
-//! traversal queries (§5.1) runs exactly this way.
+//! machine's inbox in arrival order. It completes response frames and runs
+//! one-way handlers itself, so one-way messages from one source are
+//! handled in the order they were sent, and a request that follows them
+//! runs only after their handlers have returned. Request frames go to a
+//! pool of *worker* threads, so calls run in parallel, including calls
+//! from one source. Request handlers may issue further `call`s and
+//! `send`s — the recursive fan-out of the paper's online traversal
+//! queries (§5.1) runs exactly this way. One-way handlers may `send` but
+//! must never block on the fabric: a `call` from the receiver thread would
+//! wait for a response queued behind itself.
 //!
 //! # The one-copy contract
 //!
@@ -27,6 +31,7 @@
 //! their ratio is the contract's live audit (≤ 1.0; response payloads ship
 //! zero-copy and pull it below 1). See DESIGN.md §14.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,11 +57,17 @@ use crate::{proto, MachineId, ProtoId, Result};
 /// between the wire and the handler.
 pub type Handler = Arc<dyn Fn(MachineId, &[u8]) -> Option<Vec<u8>> + Send + Sync>;
 
+/// A request for the worker pool: source machine, the envelope's trace
+/// id and deadline, and the request frame.
 pub(crate) enum Work {
-    /// Source machine, trace id and deadline carried by the envelope,
-    /// frame.
-    Frame(MachineId, u64, u64, Frame),
+    Request(MachineId, u64, u64, Frame),
     Stop,
+}
+
+thread_local! {
+    /// Set on receiver threads, where one-way handlers run; `call` asserts
+    /// it is clear.
+    static ON_RECEIVER: Cell<bool> = const { Cell::new(false) };
 }
 
 struct PackBuf {
@@ -220,6 +231,12 @@ impl Endpoint {
     /// generates one registration per `protocol` block; the handler body is
     /// the user's algorithm logic, written "as if implementing a local
     /// method" (paper §4.2).
+    ///
+    /// A handler for one-way frames runs on the receiver thread, in
+    /// per-source send order. It may `send` but must never block on the
+    /// fabric (`call`, or waiting for another machine's message): the
+    /// reply would queue behind it until the call timed out. Request
+    /// handlers run on the worker pool and may call freely.
     pub fn register<F>(&self, proto: ProtoId, handler: F)
     where
         F: Fn(MachineId, &[u8]) -> Option<Vec<u8>> + Send + Sync + 'static,
@@ -260,6 +277,10 @@ impl Endpoint {
         payload: &[u8],
         timeout: Duration,
     ) -> Result<FrameBuf> {
+        debug_assert!(
+            !ON_RECEIVER.with(Cell::get),
+            "call to {dst} (proto {proto}) from a one-way handler: the reply would queue behind it"
+        );
         if self.router.is_closed() {
             return Err(NetError::Closed);
         }
@@ -327,7 +348,9 @@ impl Endpoint {
     /// Asynchronous one-way message. Messages to remote machines are
     /// buffered per destination and shipped when the buffer exceeds the
     /// packing threshold (or on [`Endpoint::flush`]); machine-local
-    /// messages are delivered immediately.
+    /// messages are delivered immediately. The destination's receiver
+    /// thread runs the handler, in the order this machine sent; that
+    /// handler must not block on the fabric (see [`Endpoint::register`]).
     pub fn send(&self, dst: MachineId, proto: ProtoId, payload: &[u8]) {
         let trace = current_trace();
         let deadline = current_deadline();
@@ -566,28 +589,33 @@ impl Endpoint {
                     }
                     None => self.count_dropped(1),
                 },
-                FrameKind::Request(_) | FrameKind::OneWay => {
-                    let _ = self
-                        .work_tx
-                        .send(Work::Frame(env.src, env.trace, env.deadline, frame));
+                // Run in place: the next frame from this inbox waits for
+                // the handler, which is what orders one-way messages per
+                // source.
+                FrameKind::OneWay => self.dispatch(env.src, env.trace, env.deadline, frame),
+                FrameKind::Request(_) => {
+                    let _ =
+                        self.work_tx
+                            .send(Work::Request(env.src, env.trace, env.deadline, frame));
                 }
             }
         }
     }
 
-    /// Worker-thread entry: dispatch one request or one-way frame. The
-    /// envelope's trace id and deadline are installed on the worker thread
-    /// for the duration of the handler, so spans the handler records — and
-    /// any nested `call`/`send` it issues — stay attributed to the
-    /// originating query and bounded by its remaining budget. This is how
-    /// a trace (and a budget) follows the recursive fan-out of the paper's
-    /// traversal queries across machines.
+    /// Run the handler for one request (on a worker thread) or one-way
+    /// frame (on the receiver thread). The envelope's trace id and
+    /// deadline are installed on the thread for the duration of the
+    /// handler, so spans the handler records — and any nested
+    /// `call`/`send` it issues — stay attributed to the originating query
+    /// and bounded by its remaining budget. This is how a trace (and a
+    /// budget) follows the recursive fan-out of the paper's traversal
+    /// queries across machines.
     ///
     /// A *request* whose deadline has already passed is refused without
     /// running the handler — the caller has given up, so the answer would
     /// be wasted CPU. *One-way* frames always dispatch: asynchronous
     /// protocols (BSP fences, exploration ack-trees) rely on every message
-    /// being counted, and their handlers check the deadline themselves.
+    /// being handled, and their handlers check the deadline themselves.
     pub(crate) fn dispatch(&self, src: MachineId, trace: u64, deadline: u64, frame: Frame) {
         if self.router.is_dead(self.machine) {
             self.count_dropped(1);
@@ -690,6 +718,7 @@ pub(crate) fn receiver_loop(
     rx: crossbeam::channel::Receiver<Item>,
     workers: usize,
 ) {
+    ON_RECEIVER.with(|r| r.set(true));
     while let Ok(item) = rx.recv() {
         match item {
             Item::Env(env) => ep.route_envelope(env),
@@ -705,7 +734,7 @@ pub(crate) fn receiver_loop(
 pub(crate) fn worker_loop(ep: Arc<Endpoint>, rx: crossbeam::channel::Receiver<Work>) {
     while let Ok(work) = rx.recv() {
         match work {
-            Work::Frame(src, trace, deadline, frame) => ep.dispatch(src, trace, deadline, frame),
+            Work::Request(src, trace, deadline, frame) => ep.dispatch(src, trace, deadline, frame),
             Work::Stop => break,
         }
     }

@@ -67,9 +67,11 @@ impl Router {
 pub struct FabricConfig {
     /// Number of machines on the fabric.
     pub machines: usize,
-    /// Handler worker threads per machine. Workers may block in nested
+    /// Request-handler threads per machine. Workers may block in nested
     /// calls (recursive traversal fan-out), so more workers allow deeper
-    /// concurrent fan-out.
+    /// concurrent fan-out. One-way handlers do not use them: the
+    /// machine's receiver thread runs those in per-source order, and they
+    /// must never block on the fabric.
     pub workers_per_machine: usize,
     /// Byte threshold at which a destination's packed one-way buffer is
     /// shipped.
@@ -512,6 +514,44 @@ mod tests {
     }
 
     #[test]
+    fn calls_from_one_source_run_concurrently() {
+        // Each handler waits for the other to arrive: two calls from m0 to
+        // m1 both complete only if m1 runs them at the same time.
+        let fabric = Fabric::new(FabricConfig {
+            call_timeout: Duration::from_secs(5),
+            ..FabricConfig::with_machines(2)
+        });
+        let arrived = Arc::new((Mutex::new(0usize), parking_lot::Condvar::new()));
+        {
+            let arrived = Arc::clone(&arrived);
+            fabric.endpoint(MachineId(1)).register(10, move |_, _| {
+                let (count, cv) = &*arrived;
+                let mut n = count.lock();
+                *n += 1;
+                cv.notify_all();
+                let deadline = std::time::Instant::now() + Duration::from_secs(2);
+                while *n < 2 {
+                    if cv.wait_until(&mut n, deadline).timed_out() {
+                        return Some(b"alone".to_vec());
+                    }
+                }
+                Some(b"met".to_vec())
+            });
+        }
+        let a = fabric.endpoint(MachineId(0));
+        let replies: Vec<_> = std::thread::scope(|s| {
+            let calls: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| a.call(MachineId(1), 10, b"").unwrap()))
+                .collect();
+            calls.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        for reply in replies {
+            assert_eq!(reply, b"met", "calls from one source were serialized");
+        }
+        fabric.shutdown();
+    }
+
+    #[test]
     fn broadcast_reaches_everyone_else() {
         let fabric = Fabric::new(quick_cfg(4));
         let counter = Arc::new(AtomicUsize::new(0));
@@ -649,8 +689,8 @@ mod tests {
         {
             let counter = Arc::clone(&counter);
             fabric.endpoint(MachineId(1)).register(10, move |_, _| {
-                // Slow handler: the worker queue backs up so the kill
-                // lands while frames are still queued.
+                // Slow handler: the inbox backs up so the kill lands
+                // while frames are still queued.
                 std::thread::sleep(Duration::from_millis(1));
                 counter.fetch_add(1, Ordering::SeqCst);
                 None
@@ -771,11 +811,46 @@ mod tests {
     }
 
     #[test]
-    fn per_pair_fifo_for_packed_sends() {
+    fn chaos_delay_after_stop_delivers_inline() {
+        // Once the timer has stopped, a delayed envelope is delivered at
+        // once, under the link lock its sender already holds.
         let fabric = Fabric::new(FabricConfig {
-            workers_per_machine: 1, // single worker => handler-order FIFO
+            faults: Some(FaultPlan::new(7).with_delay(1.0, 1000, 0)),
             ..quick_cfg(2)
         });
+        let counter = Arc::new(AtomicUsize::new(0));
+        {
+            let counter = Arc::clone(&counter);
+            fabric.endpoint(MachineId(1)).register(10, move |_, _| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                None
+            });
+        }
+        let chaos = Arc::clone(fabric.chaos().unwrap());
+        chaos.stop();
+        let a = fabric.endpoint(MachineId(0));
+        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+        std::thread::spawn(move || {
+            a.send(MachineId(1), 10, b"late");
+            a.flush_to(MachineId(1));
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(3)).is_ok(),
+            "a send after the chaos timer stopped never returned"
+        );
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while counter.load(Ordering::SeqCst) < 1 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(counter.load(Ordering::SeqCst), 1);
+        assert_eq!(chaos.pending(), 0, "nothing stays parked after stop");
+        fabric.shutdown();
+    }
+
+    #[test]
+    fn per_pair_fifo_for_packed_sends() {
+        let fabric = Fabric::new(quick_cfg(2));
         let seen = Arc::new(Mutex::new(Vec::new()));
         {
             let seen = Arc::clone(&seen);

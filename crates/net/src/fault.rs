@@ -716,10 +716,7 @@ impl ChaosState {
                 self.metrics[key.0 as usize].delays.inc();
                 let due = (now + us).max(link.barrier_us);
                 link.barrier_us = due;
-                link.in_timer += 1;
-                self.pending.fetch_add(1, Ordering::AcqRel);
-                self.schedule_timed(due, env, &link_arc);
-                Ok(())
+                self.park(&mut link, &link_arc, due, env)
             }
             Action::Duplicate => {
                 self.record(key.0, key.1, seq, FaultKind::Duplicate);
@@ -731,11 +728,9 @@ impl ChaosState {
                 let copy = env.clone();
                 if link.barrier_us > now || link.in_timer > 0 {
                     let due = link.barrier_us.max(now);
-                    link.in_timer += 2;
-                    self.pending.fetch_add(2, Ordering::AcqRel);
-                    self.schedule_timed(due, env, &link_arc);
-                    self.schedule_timed(due, copy, &link_arc);
-                    Ok(())
+                    let r = self.park(&mut link, &link_arc, due, env);
+                    let _ = self.park(&mut link, &link_arc, due, copy);
+                    r
                 } else {
                     let r = self.router.deliver(env);
                     let _ = self.router.deliver(copy);
@@ -746,10 +741,7 @@ impl ChaosState {
                 if link.barrier_us > now || link.in_timer > 0 {
                     // FIFO: queue behind the timer items in front.
                     let due = link.barrier_us.max(now);
-                    link.in_timer += 1;
-                    self.pending.fetch_add(1, Ordering::AcqRel);
-                    self.schedule_timed(due, env, &link_arc);
-                    Ok(())
+                    self.park(&mut link, &link_arc, due, env)
                 } else {
                     self.router.deliver(env)
                 }
@@ -832,26 +824,35 @@ impl ChaosState {
         self.record(m, m, ev.index, kind);
     }
 
-    fn schedule_timed(&self, due_us: u64, env: Envelope, link: &SharedLink) {
-        let link = Arc::clone(link);
+    /// Park `env` in the timer until `due_us`, counting it against its
+    /// link (whose lock the caller holds). After [`ChaosState::stop`] the
+    /// timer takes nothing: the envelope is delivered now, under the
+    /// caller's link lock, so nothing leaks through shutdown.
+    fn park(
+        &self,
+        link: &mut LinkState,
+        link_arc: &SharedLink,
+        due_us: u64,
+        env: Envelope,
+    ) -> crate::Result<()> {
         let mut q = self.timer.lock();
         if q.stopped {
-            // Late arrival during shutdown: deliver inline so nothing
-            // leaks.
             drop(q);
-            self.fire_timed(env, link);
-            return;
+            return self.router.deliver(env);
         }
+        link.in_timer += 1;
+        self.pending.fetch_add(1, Ordering::AcqRel);
         let order = q.next_order;
         q.next_order += 1;
         q.heap.push(TimedItem {
             due_us,
             order,
             env,
-            link,
+            link: Arc::clone(link_arc),
         });
         drop(q);
         self.timer_cv.notify_all();
+        Ok(())
     }
 
     fn fire_timed(&self, env: Envelope, link: SharedLink) {

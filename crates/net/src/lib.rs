@@ -13,7 +13,8 @@
 //! * **asynchronous protocols** with **transparent message packing**:
 //!   [`Endpoint::send`] buffers small messages per destination and ships
 //!   them in a single transfer, because "the total number of messages in
-//!   the system is huge although each message may be small";
+//!   the system is huge although each message may be small". The
+//!   receiving machine runs their handlers in per-source send order;
 //! * **failure detection by access**: a call to a dead machine fails,
 //!   and the reserved [`proto::PING`] protocol answers liveness probes.
 //!   Both feed the recovery agents in `trinity-core`, which are the one

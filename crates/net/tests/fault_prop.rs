@@ -36,7 +36,6 @@ fn run_ops(
     faults: Option<FaultPlan>,
 ) -> (Vec<Vec<u32>>, trinity_net::StatsDelta, usize) {
     let fabric = Fabric::new(FabricConfig {
-        workers_per_machine: 1, // handler-order FIFO requires one worker
         call_timeout: Duration::from_secs(5),
         faults,
         ..FabricConfig::with_machines(3)
@@ -89,7 +88,6 @@ fn kill_revive_resend_does_not_double_count_frames() {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     let fabric = Fabric::new(FabricConfig {
-        workers_per_machine: 1, // one worker: the inbox drains serially
         call_timeout: Duration::from_secs(5),
         ..FabricConfig::with_machines(2)
     });
@@ -97,8 +95,8 @@ fn kill_revive_resend_does_not_double_count_frames() {
     {
         let handled = Arc::clone(&handled);
         fabric.endpoint(MachineId(1)).register(30, move |_src, _p| {
-            // Slow handler: the inbox stays backed up long enough for the
-            // kill to catch queued frames deterministically.
+            // Slow handler: the receiver runs the burst's frames one
+            // after another, so the kill catches most of them unhandled.
             std::thread::sleep(Duration::from_millis(5));
             handled.fetch_add(1, Ordering::SeqCst);
             None
@@ -110,16 +108,16 @@ fn kill_revive_resend_does_not_double_count_frames() {
         sender.send(MachineId(1), 30, &i.to_le_bytes());
     }
     sender.flush();
-    // Wait for the first deliveries, then kill with the queue non-empty:
-    // at 5ms per frame the remaining ~18 frames cannot have drained.
+    // Wait for the first deliveries, then kill mid-burst: at 5ms per
+    // frame the remaining ~18 frames of the envelope cannot have run.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while handled.load(Ordering::SeqCst) < 2 {
         assert!(std::time::Instant::now() < deadline, "no deliveries");
         std::thread::sleep(Duration::from_millis(1));
     }
     fabric.kill(MachineId(1));
-    // Let the dead machine's worker drain its backed-up queue (each
-    // queued frame is counted dropped at dequeue) before reviving —
+    // Let the dead machine's receiver reach the rest of the burst (each
+    // frame is counted dropped as it is reached) before reviving —
     // reviving earlier would let the leftovers deliver normally.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
@@ -166,7 +164,7 @@ fn kill_revive_resend_does_not_double_count_frames() {
     // Exactly the two bursts entered; the dead-window sends did not.
     assert_eq!(total.entered_frames(), 2 * BURST as u64);
     assert_eq!(total.refused_frames, WHILE_DEAD as u64);
-    // The kill discarded the backed-up queue, and each discarded frame is
+    // The kill discarded the unhandled frames, and each discarded frame is
     // counted exactly once: delivered + dropped covers both bursts.
     assert!(total.dropped_frames > 0, "kill must drop the queued frames");
     assert_eq!(
@@ -284,7 +282,6 @@ proptest! {
         let (_, _, _) = run_ops(&ops, Some(plan.clone()));
         let log_of = |p: FaultPlan| {
             let fabric = Fabric::new(FabricConfig {
-                workers_per_machine: 1,
                 faults: Some(p),
                 call_timeout: Duration::from_secs(5),
                 ..FabricConfig::with_machines(3)

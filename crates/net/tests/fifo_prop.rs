@@ -1,8 +1,8 @@
 //! Property tests on the fabric's delivery guarantees.
 //!
 //! Invariants: per-(src, dst) FIFO order of packed one-way messages under
-//! arbitrary send/flush interleavings (with a single handler worker), and
-//! exactly-once delivery regardless of packing boundaries.
+//! arbitrary send/flush interleavings, and exactly-once delivery
+//! regardless of packing boundaries.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,7 +36,6 @@ proptest! {
     #[test]
     fn packed_delivery_is_fifo_and_exactly_once(ops in proptest::collection::vec(op_strategy(), 1..120)) {
         let fabric = Fabric::new(FabricConfig {
-            workers_per_machine: 1, // handler-order FIFO requires one worker
             call_timeout: Duration::from_secs(5),
             ..FabricConfig::with_machines(3)
         });
