@@ -438,16 +438,8 @@ impl<P: VertexProgram> MachineRt<P> {
         (self.table.trunk_of(id) as usize) % self.shard_workers
     }
 
-    fn deliver(&self, dst: CellId, msg: P::Msg) {
-        let trunk = self.table.trunk_of(dst);
-        self.endpoint.obs().load().record_msgs(trunk, 1);
-        self.inboxes[(trunk as usize) % self.shard_workers]
-            .lock()
-            .push((dst, msg));
-    }
-
-    /// Append a worker's buffered machine-local deliveries for one shard
-    /// under a single lock acquisition.
+    /// Append buffered deliveries for one shard (a worker's machine-local
+    /// messages, or one received run's) under a single lock acquisition.
     fn deliver_batch(&self, shard: usize, buf: &mut Vec<(CellId, P::Msg)>) {
         // Attribute each delivery to its destination trunk, batched so the
         // shared LoadMap sees one update per distinct trunk in the run.
@@ -563,16 +555,31 @@ impl<P: VertexProgram> BspRunner<P> {
         // Register message handlers.
         for (m, rt) in rts.iter().enumerate() {
             let endpoint = Arc::clone(&rt.endpoint);
-            // Vertex data messages.
+            // Vertex data messages, a run at a time: decoded into
+            // per-shard buffers, so each shard inbox is locked once per
+            // run. Only this machine's receiver thread runs the handler,
+            // so the buffers' lock is uncontended; they are reused.
             {
                 let rt = Arc::clone(rt);
-                endpoint.register(proto::BSP_MSG, move |_src, data| {
-                    if let Some((_s, dst, bytes)) = decode_data_frame(data) {
-                        if let Some(msg) = P::decode_msg(bytes) {
-                            rt.deliver(dst, msg);
+                let bufs = Mutex::new(
+                    (0..rt.shard_workers)
+                        .map(|_| Vec::new())
+                        .collect::<Vec<_>>(),
+                );
+                endpoint.register_batch(proto::BSP_MSG, move |_src, frames| {
+                    let mut bufs = bufs.lock();
+                    for frame in frames {
+                        if let Some((_s, dst, bytes)) = decode_data_frame(&frame.payload) {
+                            if let Some(msg) = P::decode_msg(bytes) {
+                                bufs[rt.shard_of(dst)].push((dst, msg));
+                            }
                         }
                     }
-                    None
+                    for (shard, buf) in bufs.iter_mut().enumerate() {
+                        if !buf.is_empty() {
+                            rt.deliver_batch(shard, buf);
+                        }
+                    }
                 });
             }
             // Hub broadcasts: fan out through the subscriber index.
@@ -973,10 +980,6 @@ fn machine_driver<P: VertexProgram>(args: DriverArgs<P>) {
     // graph loaded without in-links the optimization silently disables.
     let hub_allowed = graph.reverse_traversable();
     let mut hub_targets: HashMap<CellId, Vec<MachineId>> = HashMap::new();
-    if !hub_allowed && cfg.hub_threshold.is_some() {
-        // Keep barrier symmetry with the enabled path (none needed: the
-        // decision is identical on every machine).
-    }
     if let Some(threshold) = cfg.hub_threshold.filter(|_| hub_allowed) {
         let hubs: Vec<CellId> = local
             .iter()

@@ -20,6 +20,16 @@
 //! must never block on the fabric: a `call` from the receiver thread would
 //! wait for a response queued behind itself.
 //!
+//! The receiver dispatches one-way frames a *run* at a time: a maximal
+//! sequence of consecutive one-way frames of one protocol within an
+//! envelope. A run pays once for what is per-dispatch — the trace and
+//! deadline guards, the handler lookup, the clock reads, one
+//! `net.handler.us` update and one `net.dispatch` span with `frames = n`
+//! — and then either calls a per-frame handler ([`Endpoint::register`])
+//! once per frame or hands the whole run to a batch handler
+//! ([`Endpoint::register_batch`]). Runs of one envelope execute in frame
+//! order, so batching changes no ordering guarantee.
+//!
 //! # The one-copy contract
 //!
 //! Every payload byte an endpoint ships is copied exactly once: into the
@@ -56,6 +66,17 @@ use crate::{proto, MachineId, ProtoId, Result};
 /// The payload slice borrows the received frame directly — no copy sits
 /// between the wire and the handler.
 pub type Handler = Arc<dyn Fn(MachineId, &[u8]) -> Option<Vec<u8>> + Send + Sync>;
+
+/// A batch handler: receives the source machine and one run of one-way
+/// frames of its protocol (see [`Endpoint::register_batch`]).
+type BatchHandler = Arc<dyn Fn(MachineId, &[Frame]) + Send + Sync>;
+
+/// One entry of the handler table.
+#[derive(Clone)]
+enum Entry {
+    Frame(Handler),
+    Batch(BatchHandler),
+}
 
 /// A request for the worker pool: source machine, the envelope's trace
 /// id and deadline, and the request frame.
@@ -126,7 +147,8 @@ struct NetMetrics {
     env_frames: Arc<Histogram>,
     /// Synchronous call round-trip latency, microseconds.
     call_us: Arc<Histogram>,
-    /// Handler execution time, microseconds.
+    /// Handler execution time per frame, microseconds: a run of one-way
+    /// frames records its mean `n` times ([`Histogram::record_n`]).
     handler_us: Arc<Histogram>,
 }
 
@@ -152,7 +174,7 @@ impl NetMetrics {
 pub struct Endpoint {
     machine: MachineId,
     router: Arc<Router>,
-    handlers: RwLock<HashMap<ProtoId, Handler>>,
+    handlers: RwLock<HashMap<ProtoId, Entry>>,
     pending: Mutex<HashMap<u64, Sender<Result<FrameBuf>>>>,
     corr: AtomicU64,
     pack_bufs: Vec<Mutex<PackBuf>>,
@@ -233,15 +255,36 @@ impl Endpoint {
     /// method" (paper §4.2).
     ///
     /// A handler for one-way frames runs on the receiver thread, in
-    /// per-source send order. It may `send` but must never block on the
-    /// fabric (`call`, or waiting for another machine's message): the
-    /// reply would queue behind it until the call timed out. Request
-    /// handlers run on the worker pool and may call freely.
+    /// per-source send order, called once per frame of each run (see the
+    /// module docs). It may `send` but must never block on the fabric
+    /// (`call`, or waiting for another machine's message): the reply would
+    /// queue behind it until the call timed out. Request handlers run on
+    /// the worker pool and may call freely.
     pub fn register<F>(&self, proto: ProtoId, handler: F)
     where
         F: Fn(MachineId, &[u8]) -> Option<Vec<u8>> + Send + Sync + 'static,
     {
-        self.handlers.write().insert(proto, Arc::new(handler));
+        self.handlers
+            .write()
+            .insert(proto, Entry::Frame(Arc::new(handler)));
+    }
+
+    /// Register (or replace) a batch handler for a one-way protocol. It
+    /// receives each run — the consecutive one-way frames of `proto` in
+    /// one envelope, in send order — as one slice, on the receiver thread,
+    /// under the same rules as a one-way handler from
+    /// [`Endpoint::register`]: runs from one source arrive in send order,
+    /// and the handler may `send` but must never block on the fabric.
+    ///
+    /// A batch handler serves only one-way frames: a `call` to `proto`
+    /// gets [`NetError::NoHandler`].
+    pub fn register_batch<F>(&self, proto: ProtoId, handler: F)
+    where
+        F: Fn(MachineId, &[Frame]) + Send + Sync + 'static,
+    {
+        self.handlers
+            .write()
+            .insert(proto, Entry::Batch(Arc::new(handler)));
     }
 
     /// Copy `payload` once into a pooled buffer and wrap it as a frame
@@ -560,7 +603,26 @@ impl Endpoint {
                 self.obs.now_us(),
             );
         }
-        for frame in env.frames {
+        let mut frames = env.frames.into_iter();
+        loop {
+            let rest = frames.as_slice();
+            let run = match rest.first() {
+                Some(f) if f.kind == FrameKind::OneWay => rest
+                    .iter()
+                    .take_while(|g| g.kind == FrameKind::OneWay && g.proto == f.proto)
+                    .count(),
+                Some(_) => 0,
+                None => break,
+            };
+            if run > 0 {
+                // Run in place: the next frame from this inbox waits for
+                // the handlers, which is what orders one-way messages per
+                // source.
+                self.dispatch_run(env.src, env.trace, env.deadline, &rest[..run]);
+                frames.nth(run - 1);
+                continue;
+            }
+            let Some(frame) = frames.next() else { break };
             match frame.kind {
                 FrameKind::Response(corr) => {
                     match self.pending.lock().remove(&corr) {
@@ -589,112 +651,136 @@ impl Endpoint {
                     }
                     None => self.count_dropped(1),
                 },
-                // Run in place: the next frame from this inbox waits for
-                // the handler, which is what orders one-way messages per
-                // source.
-                FrameKind::OneWay => self.dispatch(env.src, env.trace, env.deadline, frame),
                 FrameKind::Request(_) => {
                     let _ =
                         self.work_tx
                             .send(Work::Request(env.src, env.trace, env.deadline, frame));
                 }
+                FrameKind::OneWay => unreachable!("one-way frames dispatch as runs"),
             }
         }
     }
 
-    /// Run the handler for one request (on a worker thread) or one-way
-    /// frame (on the receiver thread). The envelope's trace id and
-    /// deadline are installed on the thread for the duration of the
-    /// handler, so spans the handler records — and any nested
+    /// Run the handler for one run of one-way frames of one protocol, on
+    /// the receiver thread. The envelope's trace id and deadline are
+    /// installed on the thread for the duration of the handler (see
+    /// [`Endpoint::dispatch_request`]). One-way frames always dispatch,
+    /// whatever their deadline: asynchronous protocols (BSP fences,
+    /// exploration ack-trees) rely on every message being handled, and
+    /// their handlers check the deadline themselves.
+    fn dispatch_run(&self, src: MachineId, trace: u64, deadline: u64, run: &[Frame]) {
+        let n = run.len() as u64;
+        if self.router.is_dead(self.machine) {
+            self.count_dropped(n);
+            return;
+        }
+        let proto = run[0].proto;
+        let Some(entry) = self.handlers.read().get(&proto).cloned() else {
+            self.count_dropped(n);
+            return;
+        };
+        let _guard = TraceGuard::enter(trace);
+        let _deadline_guard = DeadlineGuard::enter(deadline);
+        let start_us = self.obs.now_us();
+        // A kill stops a per-frame run between frames, as it would a
+        // crashed machine; a batch handler takes its run whole.
+        let handled = match entry {
+            Entry::Frame(h) => {
+                let mut handled = 0;
+                for frame in run {
+                    if self.router.is_dead(self.machine) {
+                        break;
+                    }
+                    h(src, &frame.payload);
+                    handled += 1;
+                }
+                handled
+            }
+            Entry::Batch(h) => {
+                h(src, run);
+                run.len()
+            }
+        };
+        self.count_delivered(handled as u64);
+        self.count_dropped(n - handled as u64);
+        self.metrics
+            .handler_us
+            .record_n(self.obs.now_us().saturating_sub(start_us), handled as u64);
+        if trace != NO_TRACE {
+            let bytes = run[..handled].iter().map(|f| f.payload.len() as u64).sum();
+            self.obs
+                .span("net.dispatch", proto, bytes, handled as u32, start_us);
+        }
+    }
+
+    /// Run the handler for one request, on a worker thread. The envelope's
+    /// trace id and deadline are installed on the thread for the duration
+    /// of the handler, so spans the handler records — and any nested
     /// `call`/`send` it issues — stay attributed to the originating query
     /// and bounded by its remaining budget. This is how a trace (and a
     /// budget) follows the recursive fan-out of the paper's traversal
     /// queries across machines.
     ///
-    /// A *request* whose deadline has already passed is refused without
+    /// A request whose deadline has already passed is refused without
     /// running the handler — the caller has given up, so the answer would
-    /// be wasted CPU. *One-way* frames always dispatch: asynchronous
-    /// protocols (BSP fences, exploration ack-trees) rely on every message
-    /// being handled, and their handlers check the deadline themselves.
-    pub(crate) fn dispatch(&self, src: MachineId, trace: u64, deadline: u64, frame: Frame) {
+    /// be wasted CPU. A request to a protocol with no handler, or with
+    /// only a batch handler, gets [`FrameKind::NoHandler`].
+    fn dispatch_request(&self, src: MachineId, trace: u64, deadline: u64, frame: Frame) {
+        let FrameKind::Request(corr) = frame.kind else {
+            unreachable!("only requests go to the worker pool")
+        };
         if self.router.is_dead(self.machine) {
             self.count_dropped(1);
             return;
         }
+        self.count_delivered(1);
         let _guard = TraceGuard::enter(trace);
         let _deadline_guard = DeadlineGuard::enter(deadline);
-        if deadline != NO_DEADLINE && deadline_now_us() >= deadline {
-            if let FrameKind::Request(corr) = frame.kind {
-                self.count_delivered(1);
-                self.metrics.deadline_expired.inc();
-                let _ = self.transmit(Envelope {
-                    src: self.machine,
-                    dst: src,
-                    trace,
-                    deadline,
-                    frames: vec![Frame {
-                        proto: frame.proto,
-                        kind: FrameKind::Expired(corr),
-                        payload: FrameBuf::new(),
-                    }],
-                });
-                return;
+        let reply = if deadline != NO_DEADLINE && deadline_now_us() >= deadline {
+            self.metrics.deadline_expired.inc();
+            Frame {
+                proto: frame.proto,
+                kind: FrameKind::Expired(corr),
+                payload: FrameBuf::new(),
             }
-        }
-        let start_us = self.obs.now_us();
-        let proto = frame.proto;
-        let payload_len = frame.payload.len() as u64;
-        let handler = self.handlers.read().get(&frame.proto).cloned();
-        match frame.kind {
-            FrameKind::OneWay => {
-                if let Some(h) = handler {
-                    h(src, &frame.payload);
-                    self.count_delivered(1);
+        } else {
+            let entry = self.handlers.read().get(&frame.proto).cloned();
+            match entry {
+                Some(Entry::Frame(h)) => {
+                    let start_us = self.obs.now_us();
+                    let payload = h(src, &frame.payload).unwrap_or_default();
                     self.metrics
                         .handler_us
                         .record(self.obs.now_us().saturating_sub(start_us));
-                    self.obs
-                        .span("net.dispatch", proto, payload_len, 1, start_us);
-                } else {
-                    self.count_dropped(1);
-                }
-            }
-            FrameKind::Request(corr) => {
-                self.count_delivered(1);
-                let reply = match handler {
-                    Some(h) => {
-                        let payload = h(src, &frame.payload).unwrap_or_default();
-                        self.metrics
-                            .handler_us
-                            .record(self.obs.now_us().saturating_sub(start_us));
-                        self.obs
-                            .span("net.dispatch", proto, payload_len, 1, start_us);
-                        Frame {
-                            proto: frame.proto,
-                            kind: FrameKind::Response(corr),
-                            // The handler's buffer *is* the wire payload:
-                            // adopted, never copied.
-                            payload: FrameBuf::from_vec(payload),
-                        }
-                    }
-                    None => Frame {
+                    self.obs.span(
+                        "net.dispatch",
+                        frame.proto,
+                        frame.payload.len() as u64,
+                        1,
+                        start_us,
+                    );
+                    Frame {
                         proto: frame.proto,
-                        kind: FrameKind::NoHandler(corr),
-                        payload: FrameBuf::new(),
-                    },
-                };
-                let _ = self.transmit(Envelope {
-                    src: self.machine,
-                    dst: src,
-                    trace,
-                    deadline,
-                    frames: vec![reply],
-                });
+                        kind: FrameKind::Response(corr),
+                        // The handler's buffer *is* the wire payload:
+                        // adopted, never copied.
+                        payload: FrameBuf::from_vec(payload),
+                    }
+                }
+                Some(Entry::Batch(_)) | None => Frame {
+                    proto: frame.proto,
+                    kind: FrameKind::NoHandler(corr),
+                    payload: FrameBuf::new(),
+                },
             }
-            FrameKind::Response(_) | FrameKind::NoHandler(_) | FrameKind::Expired(_) => {
-                unreachable!("responses are routed by the receiver")
-            }
-        }
+        };
+        let _ = self.transmit(Envelope {
+            src: self.machine,
+            dst: src,
+            trace,
+            deadline,
+            frames: vec![reply],
+        });
     }
 
     fn count_delivered(&self, frames: u64) {
@@ -734,7 +820,9 @@ pub(crate) fn receiver_loop(
 pub(crate) fn worker_loop(ep: Arc<Endpoint>, rx: crossbeam::channel::Receiver<Work>) {
     while let Ok(work) = rx.recv() {
         match work {
-            Work::Request(src, trace, deadline, frame) => ep.dispatch(src, trace, deadline, frame),
+            Work::Request(src, trace, deadline, frame) => {
+                ep.dispatch_request(src, trace, deadline, frame)
+            }
             Work::Stop => break,
         }
     }

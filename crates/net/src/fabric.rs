@@ -355,6 +355,9 @@ mod tests {
         let fabric = Fabric::new(quick_cfg(2));
         let a = fabric.endpoint(MachineId(0));
         assert_eq!(a.call(MachineId(1), 99, b""), Err(NetError::NoHandler(99)));
+        // A batch handler serves one-way frames only.
+        fabric.endpoint(MachineId(1)).register_batch(98, |_, _| {});
+        assert_eq!(a.call(MachineId(1), 98, b""), Err(NetError::NoHandler(98)));
         fabric.shutdown();
     }
 
@@ -876,6 +879,119 @@ mod tests {
             &*seen,
             &(0..500).collect::<Vec<u32>>(),
             "packed delivery broke FIFO order"
+        );
+        fabric.shutdown();
+    }
+
+    /// Send `[A, A, B, A]` from m0 to m1 as one traced envelope and return
+    /// the handler events m1 recorded, in order, and the `frames` of its
+    /// `net.dispatch` spans, in order. B (proto 11) has a per-frame
+    /// handler; A (proto 10) has a batch handler when `batch_a`.
+    fn run_a_a_b_a(batch_a: bool) -> (Vec<String>, Vec<u32>) {
+        use trinity_obs::{next_trace_id, TraceGuard};
+        let fabric = Fabric::new(quick_cfg(2));
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let b = fabric.endpoint(MachineId(1));
+        let ev = Arc::clone(&events);
+        if batch_a {
+            b.register_batch(10, move |_, run| {
+                let vals: Vec<u8> = run.iter().map(|f| f.payload[0]).collect();
+                ev.lock().push(format!("A{vals:?}"));
+            });
+        } else {
+            b.register(10, move |_, p| {
+                ev.lock().push(format!("A{}", p[0]));
+                None
+            });
+        }
+        let ev = Arc::clone(&events);
+        b.register(11, move |_, p| {
+            ev.lock().push(format!("B{}", p[0]));
+            None
+        });
+        let a = fabric.endpoint(MachineId(0));
+        {
+            let _g = TraceGuard::enter(next_trace_id());
+            for (proto, v) in [(10, 0u8), (10, 1), (11, 2), (10, 3)] {
+                a.send(MachineId(1), proto, &[v]);
+            }
+            a.flush();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while fabric.total_stats().delivered_frames < 4 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            a.stats().snapshot().remote_envelopes,
+            1,
+            "one packed envelope"
+        );
+        let runs = fabric
+            .obs()
+            .scope(1)
+            .spans()
+            .snapshot()
+            .into_iter()
+            .filter(|s| s.label == "net.dispatch")
+            .map(|s| s.frames)
+            .collect();
+        fabric.shutdown();
+        let events = events.lock().clone();
+        (events, runs)
+    }
+
+    #[test]
+    fn one_way_frames_dispatch_as_runs_in_envelope_order() {
+        let (events, runs) = run_a_a_b_a(true);
+        assert_eq!(events, ["A[0, 1]", "B2", "A[3]"]);
+        assert_eq!(runs, [2, 1, 1]);
+        let (events, runs) = run_a_a_b_a(false);
+        assert_eq!(events, ["A0", "A1", "B2", "A3"]);
+        assert_eq!(runs, [2, 1, 1]);
+    }
+
+    #[test]
+    fn a_traced_burst_is_ledgered_per_frame() {
+        use trinity_obs::{next_trace_id, TraceGuard};
+        const N: u64 = 1000;
+        let fabric = Fabric::new(quick_cfg(2));
+        let counter = Arc::new(AtomicUsize::new(0));
+        {
+            let counter = Arc::clone(&counter);
+            fabric.endpoint(MachineId(1)).register(10, move |_, _| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                None
+            });
+        }
+        let a = fabric.endpoint(MachineId(0));
+        {
+            let _g = TraceGuard::enter(next_trace_id());
+            for i in 0..N as u32 {
+                a.send(MachineId(1), 10, &i.to_le_bytes());
+            }
+            a.flush();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while (counter.load(Ordering::SeqCst) as u64) < N && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let snap = fabric.obs().scope(1).snapshot();
+        assert_eq!(snap.hists["net.handler.us"].count, N);
+        assert_eq!(snap.counters["net.frames.delivered"], N);
+        let runs: Vec<u32> = fabric
+            .obs()
+            .scope(1)
+            .spans()
+            .snapshot()
+            .into_iter()
+            .filter(|s| s.label == "net.dispatch")
+            .map(|s| s.frames)
+            .collect();
+        assert_eq!(runs.iter().map(|&f| f as u64).sum::<u64>(), N);
+        assert_eq!(
+            runs.len() as u64,
+            a.stats().snapshot().remote_envelopes,
+            "one span per run, and each envelope is one run"
         );
         fabric.shutdown();
     }

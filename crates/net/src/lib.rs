@@ -14,7 +14,9 @@
 //!   [`Endpoint::send`] buffers small messages per destination and ships
 //!   them in a single transfer, because "the total number of messages in
 //!   the system is huge although each message may be small". The
-//!   receiving machine runs their handlers in per-source send order;
+//!   receiving machine runs their handlers in per-source send order, a
+//!   run of same-protocol frames per dispatch ([`Endpoint::register_batch`]
+//!   hands a handler the whole run);
 //! * **failure detection by access**: a call to a dead machine fails,
 //!   and the reserved [`proto::PING`] protocol answers liveness probes.
 //!   Both feed the recovery agents in `trinity-core`, which are the one

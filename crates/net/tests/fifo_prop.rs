@@ -2,7 +2,7 @@
 //!
 //! Invariants: per-(src, dst) FIFO order of packed one-way messages under
 //! arbitrary send/flush interleavings, and exactly-once delivery
-//! regardless of packing boundaries.
+//! regardless of packing boundaries, for per-frame and batch handlers.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,11 +40,21 @@ proptest! {
             ..FabricConfig::with_machines(3)
         });
         let seen: Arc<Mutex<Vec<Vec<u32>>>> = Arc::new(Mutex::new(vec![Vec::new(); 3]));
-        for m in 1..=2u16 {
+        // Machine 1 handles frame by frame, machine 2 a run at a time.
+        {
             let seen = Arc::clone(&seen);
-            fabric.endpoint(MachineId(m)).register(30, move |_src, p| {
-                seen.lock()[m as usize].push(u32::from_le_bytes(p.try_into().unwrap()));
+            fabric.endpoint(MachineId(1)).register(30, move |_src, p| {
+                seen.lock()[1].push(u32::from_le_bytes(p.try_into().unwrap()));
                 None
+            });
+        }
+        {
+            let seen = Arc::clone(&seen);
+            fabric.endpoint(MachineId(2)).register_batch(30, move |_src, run| {
+                let mut seen = seen.lock();
+                for f in run {
+                    seen[2].push(u32::from_le_bytes(f.payload[..].try_into().unwrap()));
+                }
             });
         }
         let sender = fabric.endpoint(MachineId(0));

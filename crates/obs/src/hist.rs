@@ -63,10 +63,24 @@ impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` observations that together total `total`, each counted
+    /// at their mean: `n` lands in the bucket of `total / n`, the sum grows
+    /// by `total`, so `sum / count` stays a per-observation mean. A batch
+    /// timed as a whole (a run of frames through one handler call) records
+    /// this way. A no-op when `n == 0`.
+    #[inline]
+    pub fn record_n(&self, total: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let mean = total / n;
+        self.buckets[bucket_of(mean)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(total, Ordering::Relaxed);
+        self.max.fetch_max(mean, Ordering::Relaxed);
     }
 
     /// Point-in-time copy of the distribution.
@@ -211,6 +225,25 @@ mod tests {
         assert!(s.p99() >= 990 && s.p99() <= 1000);
         assert_eq!(s.quantile(1.0), 1000, "q=1.0 clamps to observed max");
         assert!((s.mean() - 500.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn record_n_counts_each_observation_at_the_mean() {
+        let h = Histogram::new();
+        // Four observations totalling 10: mean 2 (integer), bucket [2, 3].
+        h.record_n(10, 4);
+        h.record(7);
+        h.record_n(5, 0);
+        let s = h.snapshot();
+        assert_eq!(s.count, 5);
+        assert_eq!(s.sum, 17, "the sum keeps the exact total");
+        assert_eq!(s.buckets[bucket_of(2)], 4);
+        assert_eq!(s.buckets[bucket_of(7)], 1);
+        assert_eq!(s.max, 7);
+        assert!(
+            (s.mean() - 17.0 / 5.0).abs() < 1e-9,
+            "sum / count is per observation"
+        );
     }
 
     #[test]
